@@ -30,30 +30,35 @@ scripts/run_tier1.sh --sanitize
 # shadows whose lifetimes end at three different owners. The runtime suite
 # joins because it drives the same protocol through both bindings — and
 # the real one (thread pool, strands, timer wheel, TCP) is where lifetime
-# bugs hide behind scheduling luck.
+# bugs hide behind scheduling luck. The TCP transport suite joins for the
+# same reason: its bursts, mid-frame partial sends, receiver restarts and
+# corrupt-frame closes drive the IO thread's queues and buffers hard.
 # The mv_store suites join for the concurrent store: striped-lock
 # partitioning, hot-cache refresh on remove, and GC's erase-range pruning
 # are pointer-heavy paths worth the double run.
 (
   cd build-asan
   ctest --output-on-failure \
-    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store' \
+    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|tcp_transport|mv_store' \
     --repeat until-fail:2 -j "$(nproc)"
 )
 
 # ThreadSanitizer pass (separate build dir: TSan and ASan cannot share a
 # process) over the genuinely multithreaded suites: the runtime binding's
 # conformance tests (strand serialization, timer-wheel cancellation, TCP
-# delivery, OrdupNode over real threads), the exporter's scrape-thread
+# delivery, OrdupNode over real threads), the TCP transport's stress suite
+# (the IO thread's batched sends and deliveries against several strands,
+# sends outside the queue lock), the exporter's scrape-thread
 # handoff, and the concurrent store's append/read/GC/snapshot stress
 # (mv_store_stress_test is written for exactly this pass). Everything else
 # is single-threaded simulator code that TSan would only slow down.
 cmake -B build-tsan -S . -DESR_SANITIZE_THREAD=ON
 cmake --build build-tsan -j --target runtime_conformance_test \
-  http_exporter_test mv_store_stress_test
+  tcp_transport_test http_exporter_test mv_store_stress_test
 (
   cd build-tsan
-  ctest --output-on-failure -R 'runtime_conformance|http_exporter|mv_store_stress' \
+  ctest --output-on-failure \
+    -R 'runtime_conformance|tcp_transport|http_exporter|mv_store_stress' \
     --repeat until-fail:2 -j "$(nproc)"
 )
 

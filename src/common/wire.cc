@@ -110,16 +110,22 @@ void FrameAppend(std::string& out, std::string_view payload) {
 }
 
 bool FrameNext(std::string_view in, size_t* pos, std::string_view* payload) {
-  if (in.size() - *pos < 8) return false;
+  return FrameParse(in, pos, payload, UINT32_MAX) == FrameStatus::kOk;
+}
+
+FrameStatus FrameParse(std::string_view in, size_t* pos,
+                       std::string_view* payload, uint32_t max_len) {
+  if (in.size() - *pos < 8) return FrameStatus::kIncomplete;
   Decoder header(in.substr(*pos, 8));
   uint32_t len = header.U32();
   uint32_t crc = header.U32();
-  if (in.size() - *pos - 8 < len) return false;  // torn tail
+  if (len > max_len) return FrameStatus::kCorrupt;
+  if (in.size() - *pos - 8 < len) return FrameStatus::kIncomplete;
   std::string_view body = in.substr(*pos + 8, len);
-  if (Crc32(body) != crc) return false;  // corrupt record
+  if (Crc32(body) != crc) return FrameStatus::kCorrupt;
   *payload = body;
   *pos += 8 + len;
-  return true;
+  return FrameStatus::kOk;
 }
 
 }  // namespace esr::wire

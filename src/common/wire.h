@@ -71,10 +71,19 @@ void FrameAppend(std::string& out, std::string_view payload);
 /// Reads the next framed record starting at `*pos`, advancing `*pos` past
 /// it. Returns false at end-of-input or on a torn/corrupt frame (short
 /// header, short payload, CRC mismatch) — the WAL-reader contract: stop at
-/// the first record that was not durably written. Stream readers (the TCP
-/// transport) use the same contract per connection: a bad frame ends the
-/// connection epoch.
+/// the first record that was not durably written.
 bool FrameNext(std::string_view in, size_t* pos, std::string_view* payload);
+
+/// Outcome of FrameParse.
+enum class FrameStatus { kOk, kIncomplete, kCorrupt };
+
+/// Stream-reader form of FrameNext, for input that is still arriving (the
+/// TCP transport): tells a frame whose bytes have not all come in yet
+/// (kIncomplete: short header or short payload) from one that can never
+/// decode (kCorrupt: CRC mismatch, or a length header above `max_len`).
+/// Advances `*pos` only on kOk.
+FrameStatus FrameParse(std::string_view in, size_t* pos,
+                       std::string_view* payload, uint32_t max_len);
 
 }  // namespace esr::wire
 

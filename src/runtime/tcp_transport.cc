@@ -14,6 +14,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #endif
 
@@ -81,6 +82,25 @@ bool ParseHostPort(const std::string& host_port, std::string* host,
 
 namespace {
 
+/// Bytes taken from an inbound socket per read(); every frame completed by
+/// a read is delivered by one executor task.
+constexpr size_t kReadChunk = 64 << 10;
+/// Frames (iovecs) gathered into one vectored send. POSIX guarantees an
+/// IOV_MAX of at least 16; Linux allows 1024.
+constexpr int kMaxIov = 64;
+/// Largest frame either side accepts. A length header above it is corrupt,
+/// not a frame still arriving, so it ends the connection at once instead
+/// of buffering toward a bogus length; Send() drops larger messages, which
+/// could otherwise never get past a receiver.
+constexpr uint32_t kMaxFrameBytes = 64 << 20;
+
+// A reset peer surfaces as a send error, not as SIGPIPE.
+#ifdef MSG_NOSIGNAL
+constexpr int kSendFlags = MSG_NOSIGNAL;
+#else
+constexpr int kSendFlags = 0;
+#endif
+
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -94,10 +114,11 @@ void SetNoDelay(int fd) {
 }  // namespace
 
 /// Outbound (dialed) side for one peer: a tiny connect state machine plus
-/// the frame queue. The queue holds whole frames; on a broken connection
-/// the partially-written head frame restarts from offset 0 on the next
-/// epoch (the receiver discarded the torn prefix), which is where the
-/// at-least-once duplicate can come from.
+/// the frame queue. The queue holds whole frames; a vectored send may end
+/// mid-frame, and `head_off` is how far into the head frame it got. On a
+/// broken connection the partially-written head frame restarts from
+/// offset 0 on the next epoch (the receiver discarded the torn prefix),
+/// which is where the at-least-once duplicate can come from.
 struct TcpTransport::Peer {
   enum class State { kIdle, kConnecting, kConnected };
 
@@ -121,6 +142,51 @@ struct TcpTransport::Peer {
                      : std::min(backoff_max, backoff_ms * 2);
     next_attempt_ms = SteadyNowMs() + backoff_ms;
   }
+
+  /// Sends queued frames, up to kMaxIov per sendmsg(), until the queue
+  /// empties or the socket buffer is full (the caller then polls for
+  /// POLLOUT); a hard error ends the epoch. Called with `lock` (on mu_) held and drops it
+  /// around the syscall, so Send() never waits on one: only the IO thread
+  /// removes frames or touches the connection, and Send()'s push_back
+  /// leaves the queued frames (which the iovecs point into) in place.
+  void Flush(std::unique_lock<std::mutex>& lock, int64_t backoff_min,
+             int64_t backoff_max) {
+    while (state == State::kConnected && !queue.empty()) {
+      iovec iov[kMaxIov];
+      int count = 0;
+      for (auto it = queue.begin(); it != queue.end() && count < kMaxIov;
+           ++it, ++count) {
+        const size_t off = count == 0 ? head_off : 0;
+        iov[count].iov_base = const_cast<char*>(it->data()) + off;
+        iov[count].iov_len = it->size() - off;
+      }
+      msghdr hdr{};
+      hdr.msg_iov = iov;
+      hdr.msg_iovlen = count;
+      lock.unlock();
+      const ssize_t n = sendmsg(fd, &hdr, kSendFlags);
+      lock.lock();
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          CloseAndBackoff(backoff_min, backoff_max);
+        }
+        return;
+      }
+      size_t sent = static_cast<size_t>(n);
+      while (sent > 0) {
+        const size_t rest = queue.front().size() - head_off;
+        if (sent < rest) {
+          head_off += sent;
+          break;
+        }
+        sent -= rest;
+        queued_bytes -= static_cast<int64_t>(queue.front().size());
+        queue.pop_front();
+        head_off = 0;
+      }
+    }
+  }
 };
 
 /// Accepted connection: unidentified until its hello frame arrives, then a
@@ -130,6 +196,47 @@ struct TcpTransport::Inbound {
   std::string buf;
   SiteId from = kInvalidSiteId;
   bool bad = false;
+
+  /// Decodes every complete frame in `buf` into `batch`, keeping a partial
+  /// tail for the next read. A corrupt frame, a message before the hello
+  /// or a second hello marks the connection bad; frames before it still
+  /// count.
+  void DecodeFrames(std::vector<Message>* batch) {
+    size_t pos = 0;
+    std::string_view payload;
+    wire::FrameStatus status;
+    while ((status = wire::FrameParse(buf, &pos, &payload, kMaxFrameBytes)) ==
+           wire::FrameStatus::kOk) {
+      wire::Decoder d(payload);
+      const uint8_t kind = d.U8();
+      if (kind == kFrameHello) {
+        // One sender per connection: a second hello is a protocol error.
+        if (from != kInvalidSiteId) bad = true;
+        from = static_cast<SiteId>(d.U32());
+        if (!d.ok()) bad = true;
+        if (bad) break;
+        continue;
+      }
+      if (kind != kFrameMessage || from == kInvalidSiteId) {
+        bad = true;
+        break;
+      }
+      Message msg;
+      msg.type = static_cast<int>(d.U32());
+      msg.trace.et = d.I64();
+      msg.trace.parent_span = static_cast<int64_t>(d.U64());
+      msg.trace.origin = static_cast<SiteId>(d.U32());
+      msg.trace.msg_type = static_cast<int32_t>(d.U32());
+      msg.payload = d.Str();
+      if (!d.ok()) {
+        bad = true;
+        break;
+      }
+      batch->push_back(std::move(msg));
+    }
+    if (status == wire::FrameStatus::kCorrupt) bad = true;
+    buf.erase(0, pos);
+  }
 };
 
 TcpTransport::TcpTransport(TcpTransportConfig config, Executor* executor)
@@ -157,17 +264,23 @@ void TcpTransport::Wake() {
   (void)!write(wake_fds_[1], &byte, 1);
 }
 
+void TcpTransport::Deliver(SiteId from, std::vector<Message> batch) {
+  executor_->Post([alive = alive_, handler = handler_, from,
+                   batch = std::move(batch)]() mutable {
+    for (Message& msg : batch) {
+      if (!alive->load(std::memory_order_acquire) || !handler) return;
+      handler(from, std::move(msg));
+    }
+  });
+}
+
 void TcpTransport::Send(SiteId to, Message msg) {
   if (!running_.load(std::memory_order_acquire)) return;
   if (to == config_.self) {
     // Loopback short-circuit: straight back onto the strand.
-    auto alive = alive_;
-    Handler handler = handler_;
-    executor_->Post([alive, handler, msg = std::move(msg),
-                     self = config_.self]() mutable {
-      if (!alive->load(std::memory_order_acquire) || !handler) return;
-      handler(self, std::move(msg));
-    });
+    std::vector<Message> batch;
+    batch.push_back(std::move(msg));
+    Deliver(to, std::move(batch));
     return;
   }
   if (to < 0 || static_cast<size_t>(to) >= peers_.size()) return;
@@ -175,15 +288,18 @@ void TcpTransport::Send(SiteId to, Message msg) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     Peer& peer = *peers_[to];
-    if (peer.queued_bytes + static_cast<int64_t>(frame.size()) >
-        config_.max_outbound_bytes_per_peer) {
+    if (frame.size() - 8 > kMaxFrameBytes ||
+        peer.queued_bytes + static_cast<int64_t>(frame.size()) >
+            config_.max_outbound_bytes_per_peer) {
       dropped_sends_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     peer.queued_bytes += static_cast<int64_t>(frame.size());
     peer.queue.push_back(std::move(frame));
   }
-  Wake();
+  // The IO thread clears the flag before it scans the queues, so a set
+  // flag means a pending wake will see this frame.
+  if (!wake_pending_.exchange(true)) Wake();
 }
 
 void TcpTransport::Start() {
@@ -239,63 +355,68 @@ void TcpTransport::Stop() {
 
 void TcpTransport::IoLoop() {
   std::vector<Inbound> inbound;
+  std::vector<pollfd> fds;
+  std::vector<size_t> peer_at;
+  std::string chunk(kReadChunk, '\0');
   while (running_.load(std::memory_order_acquire)) {
-    // Kick idle dialers whose backoff expired and that have data queued.
+    // Cleared before the scan below: a Send() that finds the flag set has
+    // enqueued before this scan or will be seen after the next wake.
+    wake_pending_.store(false);
     const int64_t now_ms = SteadyNowMs();
     int64_t next_deadline_ms = now_ms + 250;
+
+    // One pass over the peers: kick idle dialers whose backoff expired and
+    // that have data queued, flush connected ones, and build the poll set
+    // (wake pipe, listener, dialers, accepted conns).
+    fds.clear();
+    fds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
+    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    peer_at.assign(fds.size(), SIZE_MAX);
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       for (size_t s = 0; s < peers_.size(); ++s) {
         if (static_cast<SiteId>(s) == config_.self) continue;
         Peer& peer = *peers_[s];
-        if (peer.state != Peer::State::kIdle || peer.queue.empty()) continue;
-        if (peer.port == 0) continue;  // address not known yet
-        if (peer.next_attempt_ms > now_ms) {
-          next_deadline_ms = std::min(next_deadline_ms, peer.next_attempt_ms);
-          continue;
+        if (peer.state == Peer::State::kIdle && !peer.queue.empty() &&
+            peer.port != 0) {  // port 0: address not known yet
+          if (peer.next_attempt_ms > now_ms) {
+            next_deadline_ms =
+                std::min(next_deadline_ms, peer.next_attempt_ms);
+            continue;
+          }
+          const int fd = socket(AF_INET, SOCK_STREAM, 0);
+          if (fd < 0) continue;
+          SetNonBlocking(fd);
+          SetNoDelay(fd);
+          sockaddr_in addr{};
+          addr.sin_family = AF_INET;
+          addr.sin_port = htons(static_cast<uint16_t>(peer.port));
+          if (inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
+            close(fd);
+            peer.CloseAndBackoff(config_.backoff_min_ms,
+                                 config_.backoff_max_ms);
+            continue;
+          }
+          const int rc =
+              connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+          if (rc == 0 || errno == EINPROGRESS) {
+            peer.fd = fd;
+            peer.state = Peer::State::kConnecting;
+          } else {
+            close(fd);
+            peer.CloseAndBackoff(config_.backoff_min_ms,
+                                 config_.backoff_max_ms);
+          }
         }
-        const int fd = socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) continue;
-        SetNonBlocking(fd);
-        SetNoDelay(fd);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(peer.port));
-        if (inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
-          close(fd);
-          peer.CloseAndBackoff(config_.backoff_min_ms, config_.backoff_max_ms);
-          continue;
-        }
-        const int rc =
-            connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-        if (rc == 0 || errno == EINPROGRESS) {
-          peer.fd = fd;
-          peer.state = Peer::State::kConnecting;
-        } else {
-          close(fd);
-          peer.CloseAndBackoff(config_.backoff_min_ms, config_.backoff_max_ms);
-        }
-      }
-    }
-
-    // Build the poll set: wake pipe, listener, dialers, accepted conns.
-    std::vector<pollfd> fds;
-    fds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    std::vector<size_t> peer_at(fds.size(), SIZE_MAX);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t s = 0; s < peers_.size(); ++s) {
-        Peer& peer = *peers_[s];
+        peer.Flush(lock, config_.backoff_min_ms, config_.backoff_max_ms);
         if (peer.fd < 0) continue;
-        short events = 0;
-        if (peer.state == Peer::State::kConnecting) {
-          events = POLLOUT;
-        } else if (!peer.queue.empty()) {
-          events = POLLOUT;
-        } else {
-          events = POLLIN;  // detect peer close/reset promptly
-        }
+        // Connecting, or data left after the flush (the socket buffer is
+        // full): wait until writable. Otherwise watch for the peer closing
+        // or resetting.
+        const short events =
+            peer.state == Peer::State::kConnecting || !peer.queue.empty()
+                ? POLLOUT
+                : POLLIN;
         fds.push_back(pollfd{peer.fd, events, 0});
         peer_at.push_back(s);
       }
@@ -312,9 +433,10 @@ void TcpTransport::IoLoop() {
       break;
     }
     if (fds[0].revents != 0) {
+      // Wakes are coalesced to about one byte per iteration; anything left
+      // over only makes the next poll return at once.
       char drain[64];
-      while (read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-      }
+      (void)!read(wake_fds_[0], drain, sizeof(drain));
     }
     if (fds[1].revents != 0) {
       for (;;) {
@@ -331,9 +453,9 @@ void TcpTransport::IoLoop() {
       }
     }
 
-    // Dialer progress.
+    // Dialer progress, and flushes of the peers found writable.
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       for (size_t i = 2; i < inbound_base; ++i) {
         if (fds[i].revents == 0) continue;
         Peer& peer = *peers_[peer_at[i]];
@@ -372,83 +494,34 @@ void TcpTransport::IoLoop() {
             continue;
           }
         }
-        while (peer.state == Peer::State::kConnected && !peer.queue.empty()) {
-          const std::string& head = peer.queue.front();
-          const ssize_t n = write(peer.fd, head.data() + peer.head_off,
-                                  head.size() - peer.head_off);
-          if (n > 0) {
-            peer.head_off += static_cast<size_t>(n);
-            if (peer.head_off == head.size()) {
-              peer.queued_bytes -= static_cast<int64_t>(head.size());
-              peer.queue.pop_front();
-              peer.head_off = 0;
-            }
-            continue;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          peer.CloseAndBackoff(config_.backoff_min_ms, config_.backoff_max_ms);
-          break;
-        }
+        peer.Flush(lock, config_.backoff_min_ms, config_.backoff_max_ms);
       }
     }
 
-    // Inbound reads + frame decode.
+    // Inbound reads: each chunk's complete frames go out as one batch.
     for (size_t i = inbound_base; i < fds.size(); ++i) {
       Inbound& conn = inbound[i - inbound_base];
       const short revents = fds[i].revents;
       if (revents == 0) continue;
       if ((revents & (POLLERR | POLLNVAL)) != 0) {
         conn.bad = true;
-        continue;
       }
-      char buf[4096];
       bool closed = false;
-      for (;;) {
-        const ssize_t n = read(conn.fd, buf, sizeof(buf));
-        if (n > 0) {
-          conn.buf.append(buf, static_cast<size_t>(n));
-          continue;
-        }
-        if (n == 0) closed = true;
-        break;
-      }
-      size_t pos = 0;
-      std::string_view payload;
-      while (wire::FrameNext(conn.buf, &pos, &payload)) {
-        wire::Decoder d(payload);
-        const uint8_t kind = d.U8();
-        if (kind == kFrameHello) {
-          conn.from = static_cast<SiteId>(d.U32());
-          if (!d.ok()) conn.bad = true;
-          continue;
-        }
-        if (kind != kFrameMessage || conn.from == kInvalidSiteId) {
-          conn.bad = true;
+      while (!conn.bad) {
+        const ssize_t n = read(conn.fd, chunk.data(), chunk.size());
+        if (n <= 0) {
+          closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                              errno != EINTR);
           break;
         }
-        Message msg;
-        msg.type = static_cast<int>(d.U32());
-        msg.trace.et = d.I64();
-        msg.trace.parent_span = static_cast<int64_t>(d.U64());
-        msg.trace.origin = static_cast<SiteId>(d.U32());
-        msg.trace.msg_type = static_cast<int32_t>(d.U32());
-        msg.payload = d.Str();
-        if (!d.ok()) {
-          conn.bad = true;
-          break;
-        }
-        auto alive = alive_;
-        Handler handler = handler_;
-        const SiteId from = conn.from;
-        executor_->Post(
-            [alive, handler, from, msg = std::move(msg)]() mutable {
-              if (!alive->load(std::memory_order_acquire) || !handler) return;
-              handler(from, std::move(msg));
-            });
+        conn.buf.append(chunk.data(), static_cast<size_t>(n));
+        std::vector<Message> batch;
+        conn.DecodeFrames(&batch);
+        if (!batch.empty()) Deliver(conn.from, std::move(batch));
+        if (static_cast<size_t>(n) < chunk.size()) break;  // drained
       }
-      conn.buf.erase(0, pos);
-      // A decodable-later partial frame is fine; corrupt data or EOF with
-      // leftovers ends the connection epoch (dialer will reconnect).
+      // A partial frame waits for more bytes; a corrupt frame, an error or
+      // EOF ends the connection epoch (the dialer will reconnect).
       if (closed || conn.bad) {
         close(conn.fd);
         conn.fd = -1;
@@ -484,6 +557,7 @@ void TcpTransport::Start() {}
 void TcpTransport::Stop() {}
 void TcpTransport::SetPeerAddress(SiteId, const std::string&) {}
 void TcpTransport::Wake() {}
+void TcpTransport::Deliver(SiteId, std::vector<Message>) {}
 void TcpTransport::IoLoop() {}
 
 #endif  // ESR_TCP_TRANSPORT_POSIX

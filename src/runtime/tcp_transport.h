@@ -41,15 +41,22 @@ struct TcpTransportConfig {
 /// frame carrying the sender's site id. Messages are length+CRC framed
 /// with the WAL codec (esr::wire), so a torn TCP stream is detected
 /// exactly like a torn WAL tail: the connection (epoch) ends at the first
-/// bad frame and the dialer reconnects with backoff.
+/// corrupt frame (CRC mismatch or an implausible length) and the dialer
+/// reconnects with backoff.
+///
+/// Costs are paid per batch, not per message: Send() writes the wake pipe
+/// only when no wake is already pending, the IO thread flushes each
+/// writable peer's queue with vectored sends of up to 64 frames, and every
+/// inbound read burst (up to 64 KiB) is decoded whole and delivered by one
+/// executor task.
 ///
 /// Delivery semantics: in-order per (sender, receiver) within a
 /// connection epoch; a reconnect may replay the frame that straddled the
 /// cut, so end-to-end the contract is at-least-once, in order, with
 /// possible suffix loss while disconnected. Handler callbacks are posted
 /// to the owner's Executor (strand) — never invoked from the IO thread —
-/// and never run after Stop() returns observable effects (a stopped
-/// transport's queued posts no-op).
+/// and never run after Stop() returns observable effects (a delivery task
+/// checks liveness before each message it hands over).
 class TcpTransport : public Transport {
  public:
   TcpTransport(TcpTransportConfig config, Executor* executor);
@@ -87,6 +94,8 @@ class TcpTransport : public Transport {
 
   void IoLoop();
   void Wake();
+  /// Posts one executor task that hands `batch` to the handler in order.
+  void Deliver(SiteId from, std::vector<Message> batch);
 
   TcpTransportConfig config_;
   Executor* executor_;
@@ -97,11 +106,17 @@ class TcpTransport : public Transport {
   /// Stop" hole without the executor knowing about transports.
   std::shared_ptr<std::atomic<bool>> alive_;
 
-  std::mutex mu_;  // guards peers_' queues and addresses (Send vs IO thread)
+  // Guards peers_' queues and addresses (Send vs IO thread); the IO thread
+  // drops it around each send syscall.
+  std::mutex mu_;
   std::vector<std::unique_ptr<Peer>> peers_;
 
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};
+  /// Set by the Send() that writes the wake pipe, cleared by the IO thread
+  /// before it scans the queues: one pipe write per IO loop iteration, not
+  /// one per message.
+  std::atomic<bool> wake_pending_{false};
   std::atomic<int> port_{0};
   std::atomic<bool> running_{false};
   std::atomic<bool> started_ok_{false};

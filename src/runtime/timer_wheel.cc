@@ -45,14 +45,20 @@ TimerId TimerWheel::Schedule(SimDuration delay, std::function<void()> fn) {
 
 TimerId TimerWheel::ScheduleAt(SimTime when, std::function<void()> fn) {
   TimerId id;
+  bool earliest = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return 0;
     id = next_id_++;
     fns_.emplace(id, std::move(fn));
+    // The timer thread sleeps until the heap top's deadline (or, with an
+    // empty heap, indefinitely) and re-reads the heap when it wakes, so
+    // only a new earliest deadline needs to wake it. A top that was
+    // cancelled still bounds the sleep, so comparing against it is safe.
+    earliest = queue_.empty() || when < queue_.top().when;
     queue_.push(Entry{when, id});
   }
-  cv_.notify_all();
+  if (earliest) cv_.notify_one();
   return id;
 }
 

@@ -229,6 +229,44 @@ TEST(TimerWheelTest, FiresInDeadlineOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(TimerWheelTest, EarlierTimerScheduledWhileSleepingFiresOnTime) {
+  // The wheel is asleep until a far deadline when a nearer one arrives:
+  // scheduling it must wake the timer thread, or it would fire late.
+  ThreadPool pool(1);
+  std::unique_ptr<Strand> strand = pool.MakeStrand();
+  TimerWheel wheel(strand.get());
+  wheel.Start();
+  std::mutex mu;
+  std::vector<int> fired;
+  std::atomic<int> count{0};
+  std::atomic<int64_t> early_elapsed_us{-1};
+  wheel.Schedule(1'500'000, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    fired.push_back(2);
+    count.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  wheel.Schedule(20'000, [&] {
+    early_elapsed_us.store(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    std::lock_guard<std::mutex> lock(mu);
+    fired.push_back(1);
+    count.fetch_add(1);
+  });
+  for (int i = 0; i < 5000 && count.load() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  wheel.Stop();
+  pool.Shutdown();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_GE(early_elapsed_us.load(), 20'000);
+  // Without the wake it would fire with the 1.5 s timer.
+  EXPECT_LT(early_elapsed_us.load(), 1'000'000) << "earlier timer fired late";
+}
+
 TEST(TimerWheelTest, CancelBeforeExpiryPreventsRun) {
   ManualExecutor executor;
   TimerWheel wheel(&executor);
@@ -364,6 +402,42 @@ TEST(TcpTransportTest, NoDeliveryAfterStop) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(delivered.load(), after_stop);
   pair.a->Stop();
+  pool.Shutdown();
+}
+
+TEST(TcpTransportTest, NoDeliveryAfterStopMidBatch) {
+  // Stop() lands while multi-message batches sit on the receiver's
+  // executor: the message being handled is the last one delivered, both
+  // for the rest of its own batch and for the batches queued behind it.
+  ThreadPool pool(1);
+  std::unique_ptr<Strand> strand_a = pool.MakeStrand();
+  ManualExecutor executor_b;
+  TcpTransportConfig cfg_a;
+  cfg_a.self = 0;
+  cfg_a.peers = {"127.0.0.1:0", "127.0.0.1:0"};
+  TcpTransportConfig cfg_b = cfg_a;
+  cfg_b.self = 1;
+  TcpTransport a(cfg_a, strand_a.get());
+  TcpTransport b(cfg_b, &executor_b);
+  int delivered = 0;
+  b.SetHandler([&](SiteId, Message) {
+    if (++delivered == 1) b.Stop();
+  });
+  a.Start();
+  b.Start();
+  // Queue the whole burst before the sender learns the receiver's port, so
+  // it leaves in a few vectored sends and arrives in a few read bursts.
+  constexpr int kMessages = 200;
+  for (int i = 0; i < kMessages; ++i) {
+    a.Send(1, Msg(1, "m-" + std::to_string(i)));
+  }
+  a.SetPeerAddress(1, "127.0.0.1:" + std::to_string(b.port()));
+  ASSERT_TRUE(executor_b.WaitNonEmpty(5'000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const int tasks = executor_b.Drain();
+  EXPECT_LT(tasks, kMessages) << "expected multi-message batches";
+  EXPECT_EQ(delivered, 1);
+  a.Stop();
   pool.Shutdown();
 }
 
