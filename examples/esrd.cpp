@@ -297,9 +297,9 @@ int main(int argc, char** argv) {
                    node.DebugStuck().c_str());
     });
   }
-  // Idle means *our* ETs are fully acknowledged — a slower peer may still
-  // be retrying its final stability notices at us. Keep serving briefly so
-  // the whole cluster can drain, not just this site.
+  // Idle means *our* ETs are stable — a slower peer may still be waiting
+  // for our watermark (re-sent every retry tick) to cover its last ETs.
+  // Keep serving briefly so the whole cluster can drain, not just this site.
   if (drained && linger_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }

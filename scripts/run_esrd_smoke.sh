@@ -6,6 +6,8 @@
 # identical state digest. This is the end-to-end proof that the runtime
 # binding — TcpTransport, TimerWheel, thread-pool strands, WAL replay and
 # incarnation-based order-hole healing — works outside the simulator.
+# It also prints each site's commit->stable p99 from its status JSON: the
+# stability tail through a real crash (informational, not a gate).
 #
 # Usage:
 #   scripts/run_esrd_smoke.sh [base-port]   # default: a random high port
@@ -62,6 +64,11 @@ digest() {
 }
 D0=$(digest 0); D1=$(digest 1); D2=$(digest 2)
 echo "esrd smoke: digests $D0 $D1 $D2"
+for site in 0 1 2; do
+  P99=$(sed -n 's/.*"commit_to_stable_p99_us":\([0-9.]*\).*/\1/p' \
+    "$DIR/status_$site.json" 2>/dev/null || true)
+  echo "esrd smoke: site $site commit->stable p99 ${P99:-?} us"
+done
 [[ -n "$D0" && "$D0" == "$D1" && "$D1" == "$D2" ]] || {
   echo "esrd smoke: digests diverged (logs in $DIR)"
   exit 1

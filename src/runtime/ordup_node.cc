@@ -12,23 +12,17 @@ namespace esr::runtime {
 
 namespace {
 
-std::string EncodeMset(const core::Mset& mset) {
+/// An MSet on the wire: the sender's applied watermark, then the record.
+std::string EncodeMset(SequenceNumber watermark, const core::Mset& mset) {
   recovery::Encoder e;
+  e.I64(watermark);
   e.MsetRec(mset);
   return e.Take();
 }
 
-std::string EncodeEtSite(EtId et, SiteId site) {
+std::string EncodeWatermark(SequenceNumber watermark) {
   wire::Encoder e;
-  e.I64(et);
-  e.U32(static_cast<uint32_t>(site));
-  return e.Take();
-}
-
-std::string EncodeEtTs(EtId et, const LamportTimestamp& ts) {
-  wire::Encoder e;
-  e.I64(et);
-  e.Ts(ts);
+  e.I64(watermark);
   return e.Take();
 }
 
@@ -43,6 +37,8 @@ OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
       wal_(wal),
       metrics_(metrics),
       store_(store::MvStoreOptions{.partitions = config.store_partitions}),
+      peer_wm_(static_cast<size_t>(std::max(config.num_sites, 1)), 0),
+      wm_owed_(peer_wm_.size(), false),
       seq_home_(config.sequencer_site) {
   // Seed both id counters from the incarnation: ET ids and request ids must
   // never collide with a previous life of this site (the server dedups
@@ -122,16 +118,10 @@ void OrdupNode::ReplayWal() {
           Admit(rec.mset, /*persist=*/false);
         }
         break;
-      case recovery::WalRecordType::kStable:
-        if (order_of_.find(rec.et) != order_of_.end()) {
-          stable_.insert(rec.et);
-        }
-        break;
       default:
         break;
     }
   }
-  stable_count_ = static_cast<int64_t>(stable_.size());
 }
 
 EtId OrdupNode::SubmitUpdate(std::vector<store::Operation> ops,
@@ -140,9 +130,7 @@ EtId OrdupNode::SubmitUpdate(std::vector<store::Operation> ops,
       submit_counter_++ * static_cast<int64_t>(config_.num_sites) +
       static_cast<int64_t>(config_.self) + 1;
   LocalEt local;
-  local.ops = std::move(ops);
-  local.apply_acked.assign(static_cast<size_t>(config_.num_sites), false);
-  local.stable_acked.assign(static_cast<size_t>(config_.num_sites), false);
+  local.mset.operations = std::move(ops);
   local.submitted_at = clock_->Now();
   local.on_stable = std::move(on_stable);
   outstanding_.emplace(et, std::move(local));
@@ -150,40 +138,39 @@ EtId OrdupNode::SubmitUpdate(std::vector<store::Operation> ops,
   if (m_submitted_ != nullptr) m_submitted_->Increment();
 
   const int64_t rid = next_request_id_++;
-  pending_seq_[rid] = PendingSeq{et, seq_epoch_};
-  msg::SeqBatchRequest req{rid, 1, seq_epoch_,
-                           TraceContext{et, 0, config_.self, msg::kSeqRequest},
-                           config_.incarnation};
-  SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req), et);
+  PendingSeq& pending = pending_seq_[rid];
+  pending.et = et;
+  SendRequest(rid, pending);
   return et;
+}
+
+void OrdupNode::SendRequest(int64_t rid, PendingSeq& pending) {
+  pending.epoch = seq_epoch_;
+  pending.sent_at = clock_->Now();
+  msg::SeqBatchRequest req{
+      rid, 1, seq_epoch_,
+      TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
+      config_.incarnation};
+  SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
+         pending.et);
 }
 
 void OrdupNode::HandleMessage(SiteId from, Message msg) {
   switch (msg.type) {
     case core::kMsetMsg: {
       recovery::Decoder d(msg.payload);
+      const SequenceNumber watermark = d.I64();
       const core::Mset mset = d.MsetRec();
-      if (d.ok() && mset.global_order >= 1) HandleMset(from, mset, false);
+      if (d.ok() && mset.global_order >= 1) {
+        Admit(mset, /*persist=*/true);
+        HandleWatermark(from, watermark);
+      }
       break;
     }
-    case core::kApplyAckMsg: {
+    case kWatermarkMsg: {
       wire::Decoder d(msg.payload);
-      const EtId et = d.I64();
-      const SiteId replica = static_cast<SiteId>(d.U32());
-      if (d.ok()) HandleApplyAck(replica, et);
-      break;
-    }
-    case core::kStableMsg: {
-      wire::Decoder d(msg.payload);
-      const EtId et = d.I64();
-      (void)d.Ts();
-      if (d.ok()) HandleStable(from, et);
-      break;
-    }
-    case kStableAckMsg: {
-      wire::Decoder d(msg.payload);
-      const EtId et = d.I64();
-      if (d.ok()) HandleStableAck(from, et);
+      const SequenceNumber watermark = d.I64();
+      if (d.ok()) HandleWatermark(from, watermark);
       break;
     }
     case msg::kSeqRequest: {
@@ -232,12 +219,17 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
     default:
       break;
   }
+  AdvanceStable();
+  FlushWatermark();
 }
 
 /// --- Sequencer (client + co-located server) -------------------------------
 
 void OrdupNode::HandleSeqRequest(SiteId from, const msg::SeqBatchRequest& req) {
   if (!seq_server_active_ || seq_sealed_) return;
+  // Clients ask for one position per request; any other count (a corrupt or
+  // foreign request) would reserve positions nobody fills.
+  if (req.count != 1) return;
   // Incarnation bookkeeping happens before the epoch gate: even a
   // stale-epoch request proves the site restarted.
   auto inc_it = last_incarnation_.find(from);
@@ -265,25 +257,15 @@ void OrdupNode::HandleSeqRequest(SiteId from, const msg::SeqBatchRequest& req) {
            kInvalidEtId);
     return;
   }
+  // A retry of a granted request gets the identical grant (the original may
+  // be in flight or lost — never grant the same request twice).
   const std::pair<SiteId, int64_t> key{from, req.request_id};
-  auto it = granted_.find(key);
-  SequenceNumber first;
-  int32_t count;
-  if (it != granted_.end()) {
-    // Retry of a granted request: repeat the identical grant (the original
-    // may be in flight or lost — never grant the same request twice).
-    first = it->second.first;
-    count = it->second.second;
-  } else {
-    first = seq_next_;
-    count = std::max<int32_t>(1, req.count);
-    seq_next_ += count;
-    granted_.emplace(key, std::make_pair(first, count));
-    for (SequenceNumber p = first; p < first + count; ++p) {
-      unfilled_grants_.emplace(p, std::make_pair(from, req.incarnation));
-    }
+  auto [it, fresh] = granted_.try_emplace(key, seq_next_);
+  if (fresh) {
+    unfilled_grants_.emplace(seq_next_++,
+                             std::make_pair(from, req.incarnation));
   }
-  msg::SeqBatchGrant grant{req.request_id, first, count, seq_epoch_};
+  msg::SeqBatchGrant grant{req.request_id, it->second, 1, seq_epoch_};
   SendTo(from, msg::kSeqResponse, msg::EncodeSeqBatchGrant(grant), req.trace.et);
 }
 
@@ -327,15 +309,7 @@ void OrdupNode::FinishSequencerProbe() {
   const std::string payload = msg::EncodeSeqEpochAnnounce(ann);
   Broadcast(msg::kSeqEpochAnnounce, payload, kInvalidEtId);
   // The co-located client adopts the epoch directly and re-requests.
-  for (auto& [rid, pending] : pending_seq_) {
-    pending.epoch = seq_epoch_;
-    msg::SeqBatchRequest req{
-        rid, 1, seq_epoch_,
-        TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
-        config_.incarnation};
-    SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-           pending.et);
-  }
+  for (auto& [rid, pending] : pending_seq_) SendRequest(rid, pending);
 }
 
 void OrdupNode::HandleEpochAnnounce(SiteId /*from*/,
@@ -347,15 +321,7 @@ void OrdupNode::HandleEpochAnnounce(SiteId /*from*/,
   // record of these request ids, so fresh positions are granted (positions
   // the old epoch granted but this client never learned are covered by the
   // probe floor).
-  for (auto& [rid, pending] : pending_seq_) {
-    pending.epoch = seq_epoch_;
-    msg::SeqBatchRequest req{
-        rid, 1, seq_epoch_,
-        TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
-        config_.incarnation};
-    SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-           pending.et);
-  }
+  for (auto& [rid, pending] : pending_seq_) SendRequest(rid, pending);
 }
 
 void OrdupNode::OnGranted(EtId et, SequenceNumber position, int64_t epoch) {
@@ -364,19 +330,17 @@ void OrdupNode::OnGranted(EtId et, SequenceNumber position, int64_t epoch) {
   auto it = outstanding_.find(et);
   if (it == outstanding_.end()) return;  // lost to a restart; see header
   LocalEt& local = it->second;
-  if (local.granted) return;
-  local.granted = true;
-  core::Mset mset;
+  core::Mset& mset = local.mset;
+  if (mset.global_order > 0) return;  // duplicate grant
   mset.et = et;
   mset.origin = config_.self;
   mset.global_order = position;
   mset.timestamp = LamportTimestamp{++lamport_, config_.self};
-  mset.operations = local.ops;
   mset.tentative = false;
-  local.mset = mset;
+  local_by_pos_.emplace(position, et);
+  local.sent_at = clock_->Now();
   Admit(mset, /*persist=*/true);
-  const std::string payload = EncodeMset(mset);
-  Broadcast(core::kMsetMsg, payload, et);
+  BroadcastMset(mset);
 }
 
 /// --- Order-hole healing (sequencer server only) ----------------------------
@@ -428,7 +392,7 @@ void OrdupNode::HandlePosProbeResp(SiteId from, std::string_view payload) {
     // the real MSet. Adopt and re-broadcast it; never fill with a no-op.
     healing_.erase(it);
     Admit(mset, /*persist=*/true);
-    Broadcast(core::kMsetMsg, EncodeMset(mset), mset.et);
+    BroadcastMset(mset);
     return;
   }
   it->second.erase(from);
@@ -452,15 +416,10 @@ void OrdupNode::FillHole(SequenceNumber pos) {
   noop.timestamp = LamportTimestamp{++lamport_, config_.self};
   noop.tentative = false;
   Admit(noop, /*persist=*/true);
-  Broadcast(core::kMsetMsg, EncodeMset(noop), noop.et);
+  BroadcastMset(noop);
 }
 
 /// --- Total order admission + apply ----------------------------------------
-
-void OrdupNode::HandleMset(SiteId /*from*/, const core::Mset& mset,
-                           bool /*from_catchup*/) {
-  Admit(mset, /*persist=*/true);
-}
 
 void OrdupNode::Admit(const core::Mset& mset, bool persist) {
   const SequenceNumber order = mset.global_order;
@@ -470,14 +429,7 @@ void OrdupNode::Admit(const core::Mset& mset, bool persist) {
   unfilled_grants_.erase(order);
   healing_.erase(order);
   if (order <= applied_watermark_ || holdback_.count(order) > 0) {
-    // Duplicate. If it reached the applied prefix and originated elsewhere,
-    // our ack was probably lost — repeat it.
     if (m_duplicates_ != nullptr) m_duplicates_->Increment();
-    if (running_ && order <= applied_watermark_ &&
-        mset.origin != config_.self && mset.origin != kInvalidSiteId) {
-      SendTo(mset.origin, core::kApplyAckMsg,
-             EncodeEtSite(mset.et, config_.self), mset.et);
-    }
     return;
   }
   if (persist && wal_ != nullptr) wal_->AppendMset(mset);
@@ -495,85 +447,75 @@ void OrdupNode::ApplyInOrder(const core::Mset& mset) {
   store_.ApplyAll(mset.operations);
   applied_watermark_ = mset.global_order;
   history_.emplace(mset.global_order, mset);
-  order_of_[mset.et] = mset.global_order;
   lamport_ = std::max(lamport_, mset.timestamp.counter) + 1;
   ++applied_count_;
   if (m_applied_ != nullptr) m_applied_->Increment();
-  if (mset.origin == config_.self) {
-    auto it = outstanding_.find(mset.et);
-    if (it != outstanding_.end()) {
-      LocalEt& local = it->second;
-      local.committed_at = clock_->Now();
-      if (m_submit_commit_us_ != nullptr) {
-        m_submit_commit_us_->Observe(
-            static_cast<double>(local.committed_at - local.submitted_at));
-      }
-      local.apply_acked[static_cast<size_t>(config_.self)] = true;
-      HandleApplyAck(config_.self, mset.et);  // single-site completion path
+  if (mset.origin != config_.self) {
+    if (mset.origin >= 0 && mset.origin < config_.num_sites) {
+      wm_owed_[static_cast<size_t>(mset.origin)] = true;
     }
-  } else if (running_ && mset.origin != kInvalidSiteId) {
-    SendTo(mset.origin, core::kApplyAckMsg,
-           EncodeEtSite(mset.et, config_.self), mset.et);
+    return;
+  }
+  auto it = outstanding_.find(mset.et);
+  if (it == outstanding_.end()) return;
+  LocalEt& local = it->second;
+  local.committed_at = clock_->Now();
+  if (m_submit_commit_us_ != nullptr) {
+    m_submit_commit_us_->Observe(
+        static_cast<double>(local.committed_at - local.submitted_at));
   }
 }
 
 /// --- Stability -------------------------------------------------------------
 
-void OrdupNode::HandleApplyAck(SiteId from, EtId et) {
-  auto it = outstanding_.find(et);
-  if (it == outstanding_.end()) return;
-  LocalEt& local = it->second;
-  if (from < 0 || from >= config_.num_sites) return;
-  local.apply_acked[static_cast<size_t>(from)] = true;
-  if (local.all_applied) return;
-  for (bool acked : local.apply_acked) {
-    if (!acked) return;
-  }
-  // Every site has applied: the ET is stable (ESR's commit→stable moment).
-  local.all_applied = true;
-  if (local.committed_at > 0 && m_commit_stable_us_ != nullptr) {
-    m_commit_stable_us_->Observe(
-        static_cast<double>(clock_->Now() - local.committed_at));
-  }
-  MarkStable(et);
-  local.stable_acked[static_cast<size_t>(config_.self)] = true;
-  const std::string payload = EncodeEtTs(et, local.mset.timestamp);
-  Broadcast(core::kStableMsg, payload, et);
-  if (local.on_stable) {
-    auto cb = std::move(local.on_stable);
-    local.on_stable = nullptr;
-    cb();
-  }
-  HandleStableAck(config_.self, et);  // single-site completion path
+void OrdupNode::HandleWatermark(SiteId from, SequenceNumber watermark) {
+  if (from < 0 || from >= config_.num_sites || from == config_.self) return;
+  SequenceNumber& known = peer_wm_[static_cast<size_t>(from)];
+  known = std::max(known, watermark);
 }
 
-void OrdupNode::HandleStable(SiteId from, EtId et) {
-  if (order_of_.find(et) == order_of_.end()) {
-    // Not applied yet (catch-up still in flight): no ack, the origin
-    // retries and by then the apply has landed.
-    return;
+void OrdupNode::AdvanceStable() {
+  // In a total order, "applied everywhere" is a prefix: the floor is the
+  // lowest applied watermark of any site.
+  SequenceNumber floor = applied_watermark_;
+  for (SiteId s = 0; s < config_.num_sites; ++s) {
+    if (s == config_.self) continue;
+    floor = std::min(floor, peer_wm_[static_cast<size_t>(s)]);
   }
-  MarkStable(et);
-  SendTo(from, kStableAckMsg, EncodeEtSite(et, config_.self), et);
+  if (floor <= stable_floor_) return;
+  if (m_stable_ != nullptr) m_stable_->Increment(floor - stable_floor_);
+  stable_floor_ = floor;
+  const SimTime now = clock_->Now();
+  while (!local_by_pos_.empty() && local_by_pos_.begin()->first <= floor) {
+    const EtId et = local_by_pos_.begin()->second;
+    local_by_pos_.erase(local_by_pos_.begin());
+    auto it = outstanding_.find(et);
+    if (it == outstanding_.end()) continue;
+    if (m_commit_stable_us_ != nullptr) {
+      m_commit_stable_us_->Observe(
+          static_cast<double>(now - it->second.committed_at));
+    }
+    // Erase before the callback: it may submit again.
+    std::function<void()> on_stable = std::move(it->second.on_stable);
+    outstanding_.erase(it);
+    if (on_stable) on_stable();
+  }
 }
 
-void OrdupNode::HandleStableAck(SiteId from, EtId et) {
-  auto it = outstanding_.find(et);
-  if (it == outstanding_.end()) return;
-  LocalEt& local = it->second;
-  if (from < 0 || from >= config_.num_sites) return;
-  local.stable_acked[static_cast<size_t>(from)] = true;
-  for (bool acked : local.stable_acked) {
-    if (!acked) return;
+void OrdupNode::FlushWatermark() {
+  if (!running_ || !pending_seq_.empty()) return;
+  std::string payload;
+  for (SiteId s = 0; s < config_.num_sites; ++s) {
+    if (!wm_owed_[static_cast<size_t>(s)]) continue;
+    if (payload.empty()) payload = EncodeWatermark(applied_watermark_);
+    SendTo(s, kWatermarkMsg, payload, kInvalidEtId);
+    wm_owed_[static_cast<size_t>(s)] = false;
   }
-  outstanding_.erase(it);  // fully applied + stability acknowledged
 }
 
-void OrdupNode::MarkStable(EtId et) {
-  if (!stable_.insert(et).second) return;
-  ++stable_count_;
-  if (m_stable_ != nullptr) m_stable_->Increment();
-  if (wal_ != nullptr) wal_->AppendStable(et, LamportTimestamp{});
+void OrdupNode::BroadcastWatermark() {
+  Broadcast(kWatermarkMsg, EncodeWatermark(applied_watermark_), kInvalidEtId);
+  wm_owed_.assign(wm_owed_.size(), false);
 }
 
 /// --- Catch-up / backfill ----------------------------------------------------
@@ -603,7 +545,6 @@ void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
   recovery::Encoder entries;
   for (; it != history_.end() && n < config_.catchup_batch; ++it, ++n) {
     entries.MsetRec(it->second);
-    entries.U8(stable_.count(it->second.et) > 0 ? 1 : 0);
   }
   if (n == 0) return;  // nothing to offer
   e.U32(static_cast<uint32_t>(n));
@@ -618,14 +559,10 @@ void OrdupNode::HandleCatchupResp(std::string_view payload) {
   bool advanced = false;
   for (uint32_t i = 0; i < n && d.ok(); ++i) {
     const core::Mset mset = d.MsetRec();
-    const bool is_stable = d.U8() != 0;
     if (!d.ok() || mset.global_order < 1) break;
     const SequenceNumber before = applied_watermark_;
     Admit(mset, /*persist=*/true);
     advanced = advanced || applied_watermark_ > before;
-    if (is_stable && order_of_.find(mset.et) != order_of_.end()) {
-      MarkStable(mset.et);
-    }
   }
   // A full batch means the responder has more; keep pulling.
   if (advanced && n >= static_cast<uint32_t>(config_.catchup_batch)) {
@@ -638,39 +575,34 @@ void OrdupNode::HandleCatchupResp(std::string_view payload) {
 void OrdupNode::RetryTick() {
   if (!running_) return;
   const SimTime now = clock_->Now();
-  // Re-send pending sequencer requests (server dedups by request id).
-  for (const auto& [rid, pending] : pending_seq_) {
-    msg::SeqBatchRequest req{
-        rid, 1, seq_epoch_,
-        TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
-        config_.incarnation};
-    SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-           pending.et);
+  const auto stale = [&](SimTime sent_at) {
+    return now - sent_at >= config_.retry_interval_us;
+  };
+  // Re-send sequencer requests that went unanswered for a whole interval
+  // (the server dedups by request id).
+  for (auto& [rid, pending] : pending_seq_) {
+    if (!stale(pending.sent_at)) continue;
+    SendRequest(rid, pending);
     if (m_retransmits_ != nullptr) m_retransmits_->Increment();
   }
-  // Re-broadcast unacknowledged MSets and stability notices.
-  for (auto& [et, local] : outstanding_) {
-    if (!local.granted) continue;
-    if (!local.all_applied) {
-      const std::string payload = EncodeMset(local.mset);
-      for (SiteId s = 0; s < config_.num_sites; ++s) {
-        if (s == config_.self || local.apply_acked[static_cast<size_t>(s)]) {
-          continue;
-        }
-        SendTo(s, core::kMsetMsg, payload, et);
-        if (m_retransmits_ != nullptr) m_retransmits_->Increment();
+  // Re-send stale MSets to the peers whose watermark is still below them.
+  for (const auto& [pos, et] : local_by_pos_) {
+    LocalEt& local = outstanding_.at(et);
+    if (!stale(local.sent_at)) continue;
+    std::string payload;
+    for (SiteId s = 0; s < config_.num_sites; ++s) {
+      if (s == config_.self || peer_wm_[static_cast<size_t>(s)] >= pos) {
+        continue;
       }
-    } else {
-      const std::string payload = EncodeEtTs(et, local.mset.timestamp);
-      for (SiteId s = 0; s < config_.num_sites; ++s) {
-        if (s == config_.self || local.stable_acked[static_cast<size_t>(s)]) {
-          continue;
-        }
-        SendTo(s, core::kStableMsg, payload, et);
-        if (m_retransmits_ != nullptr) m_retransmits_->Increment();
-      }
+      if (payload.empty()) payload = EncodeMset(applied_watermark_, local.mset);
+      SendTo(s, core::kMsetMsg, payload, et);
+      local.sent_at = now;
+      if (m_retransmits_ != nullptr) m_retransmits_->Increment();
     }
   }
+  // The watermark, every tick: a lost report would otherwise hold back the
+  // floor at peers for good once traffic stops.
+  BroadcastWatermark();
   // Re-probe while a takeover is waiting (peers may still be booting).
   if (probing_) {
     const std::string probe = msg::EncodeSeqProbeRequest(
@@ -714,6 +646,11 @@ void OrdupNode::Broadcast(int type, const std::string& payload, EtId et) {
   }
 }
 
+void OrdupNode::BroadcastMset(const core::Mset& mset) {
+  Broadcast(core::kMsetMsg, EncodeMset(applied_watermark_, mset), mset.et);
+  wm_owed_.assign(wm_owed_.size(), false);
+}
+
 SequenceNumber OrdupNode::MaxOrderSeen() const {
   SequenceNumber max_seen = std::max(applied_watermark_, max_grant_seen_);
   if (!holdback_.empty()) {
@@ -736,13 +673,13 @@ std::string OrdupNode::DebugStuck(int limit) const {
   }
   for (const auto& [et, local] : outstanding_) {
     if (n++ >= limit) break;
-    std::string applies, stables;
-    for (bool b : local.apply_acked) applies += b ? '1' : '0';
-    for (bool b : local.stable_acked) stables += b ? '1' : '0';
     out += "out{et=" + std::to_string(et) +
-           ",granted=" + (local.granted ? "1" : "0") +
-           ",applied=" + applies + ",stable=" + stables + "} ";
+           ",pos=" + std::to_string(local.mset.global_order) + "} ";
   }
+  std::string wms;
+  for (SequenceNumber wm : peer_wm_) wms += std::to_string(wm) + ",";
+  out += "wm=" + std::to_string(applied_watermark_) +
+         " floor=" + std::to_string(stable_floor_) + " peer_wm=" + wms;
   return out;
 }
 

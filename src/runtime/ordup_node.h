@@ -19,15 +19,16 @@
 
 namespace esr::runtime {
 
-/// Message types the node exchanges (beyond the esr/mset.h protocol ids and
-/// the msg/mailbox.h sequencer ids it reuses verbatim).
-inline constexpr int kStableAckMsg = 112;
+/// Message types the node exchanges (beyond the esr/mset.h MSet id and the
+/// msg/mailbox.h sequencer ids it reuses verbatim).
 inline constexpr int kCatchupReqMsg = 113;
 inline constexpr int kCatchupRespMsg = 114;
 /// Order-hole healing: the sequencer asks every site whether it holds the
 /// MSet at one total-order position (see OrdupNodeConfig::incarnation).
 inline constexpr int kPosProbeReqMsg = 115;
 inline constexpr int kPosProbeRespMsg = 116;
+/// A site's applied watermark on its own, for links with no MSet to carry it.
+inline constexpr int kWatermarkMsg = 117;
 
 struct OrdupNodeConfig {
   SiteId self = 0;
@@ -60,19 +61,28 @@ struct OrdupNodeConfig {
 
 /// One ORDUP site as a binding-agnostic protocol core: the paper's
 /// global-total-order method (centralized order server, MSet propagation,
-/// apply acks, stability notices) written purely against the runtime seam —
+/// watermark stability) written purely against the runtime seam —
 /// runtime::Transport for messages, runtime::Clock for timers, and the
 /// owning strand's single-threaded discipline instead of locks. The same
 /// object runs deterministically inside the simulator (SimTransport +
 /// Simulator) and for real inside `esrd` (TcpTransport + TimerWheel).
 ///
+/// Stability is a prefix of the total order: the ET at position p is
+/// stable once every site has applied through p. Each site therefore
+/// reports one number, its applied watermark, prefixed to every MSet it
+/// sends (or on its own when it has no MSet going out). The stable floor
+/// is the minimum of its own watermark and the highest one heard from each
+/// peer; the origin fires `on_stable` for its ETs at or below it.
+///
 /// Reliability model: the transport is at-least-once/in-order at best and
 /// lossy at worst, so every protocol edge is duplicate-tolerant and
-/// retried: MSets are re-broadcast to unacked peers, sequencer requests are
-/// re-sent (the server dedups by request id), stability notices are re-sent
-/// until acked, and total-order gaps that outlive `gap_timeout_us` are
-/// backfilled from a peer's history (which also serves a restarted site's
-/// catch-up after WAL replay).
+/// retried: an MSet older than `retry_interval_us` is re-sent to each peer
+/// whose watermark is still below it, a sequencer request that old is
+/// re-sent (the server dedups by request id), the watermark is re-sent
+/// every retry tick, and total-order gaps that outlive `gap_timeout_us`
+/// are backfilled from a peer's history (which also serves a restarted
+/// site's catch-up after WAL replay). A peer's watermark only moves
+/// forward, so duplicated or reordered reports are harmless.
 ///
 /// Threading: every method (including Start/Stop and the transport handler
 /// it installs) must run on the owner's strand.
@@ -95,8 +105,8 @@ class OrdupNode {
   void Stop();
 
   /// Submits one update ET (a set of update operations). Returns its ET id.
-  /// `on_stable` (optional) fires when the ET becomes stable — applied and
-  /// acknowledged by every site.
+  /// `on_stable` (optional) fires at this site when the ET becomes stable —
+  /// applied by every site, as their watermarks report.
   EtId SubmitUpdate(std::vector<store::Operation> ops,
                     std::function<void()> on_stable = nullptr);
 
@@ -108,8 +118,9 @@ class OrdupNode {
   SequenceNumber applied_watermark() const { return applied_watermark_; }
   int64_t applied_count() const { return applied_count_; }
   int64_t submitted_count() const { return submitted_count_; }
-  int64_t stable_count() const { return stable_count_; }
-  /// No locally-originated ET still awaiting grant, acks, or stable acks.
+  /// The stable floor: every position at or below it is applied everywhere.
+  int64_t stable_count() const { return stable_floor_; }
+  /// No locally-originated ET still awaiting its grant or stability.
   bool Idle() const { return outstanding_.empty() && pending_seq_.empty(); }
   int64_t sequencer_epoch() const { return seq_epoch_; }
   int64_t outstanding_size() const {
@@ -122,31 +133,25 @@ class OrdupNode {
   std::string DebugStuck(int limit = 4) const;
 
  private:
-  /// A locally-originated ET from submission to full stability.
+  /// A locally-originated ET from submission to stability.
   struct LocalEt {
-    core::Mset mset;                 // global_order < 0 until granted
-    std::vector<store::Operation> ops;
-    std::vector<bool> apply_acked;   // [site]
-    std::vector<bool> stable_acked;  // [site]
-    bool granted = false;
-    bool all_applied = false;
+    core::Mset mset;  // global_order 0 (only operations set) until granted
     SimTime submitted_at = 0;
     SimTime committed_at = 0;  // local in-order apply time
+    SimTime sent_at = 0;       // last (re)broadcast of the MSet
     std::function<void()> on_stable;
   };
 
-  /// Sequencer request awaiting its grant (count is always 1: esrd-level
-  /// batching rides on the server's block grants when submit bursts queue).
+  /// Sequencer request awaiting its grant (one position per request).
   struct PendingSeq {
     EtId et = kInvalidEtId;
     int64_t epoch = 0;
+    SimTime sent_at = 0;  // last (re)send of the request
   };
 
   void HandleMessage(SiteId from, Message msg);
-  void HandleMset(SiteId from, const core::Mset& mset, bool from_catchup);
-  void HandleApplyAck(SiteId from, EtId et);
-  void HandleStable(SiteId from, EtId et);
-  void HandleStableAck(SiteId from, EtId et);
+  /// Raises `from`'s known watermark (never lowers it).
+  void HandleWatermark(SiteId from, SequenceNumber watermark);
   void HandleSeqRequest(SiteId from, const msg::SeqBatchRequest& req);
   void HandleSeqGrant(const msg::SeqBatchGrant& grant);
   void HandleSeqProbeRequest(SiteId from, const msg::SeqProbeRequest& probe);
@@ -165,12 +170,20 @@ class OrdupNode {
   /// Inserts into the order buffer and drains every contiguous MSet.
   void Admit(const core::Mset& mset, bool durable);
   void ApplyInOrder(const core::Mset& mset);
-  void MarkStable(EtId et);
+  /// Recomputes the stable floor and completes local ETs at or below it.
+  void AdvanceStable();
+  /// Sends the watermark alone to each owed peer, unless a local request
+  /// is pending: its MSet will soon carry the watermark to every peer.
+  void FlushWatermark();
+  void BroadcastWatermark();
+  void SendRequest(int64_t rid, PendingSeq& pending);
   void RetryTick();
   void SendCatchupRequest();
   void FinishSequencerProbe();
   void SendTo(SiteId to, int type, std::string payload, EtId et);
   void Broadcast(int type, const std::string& payload, EtId et);
+  /// Broadcasts `mset` with the current watermark prefixed.
+  void BroadcastMset(const core::Mset& mset);
   SequenceNumber MaxOrderSeen() const;
   void ReplayWal();
 
@@ -188,19 +201,26 @@ class OrdupNode {
   SequenceNumber applied_watermark_ = 0;
   std::map<SequenceNumber, core::Mset> holdback_;
   SimTime gap_since_ = -1;  // first moment the current gap was observed
-  /// Applied MSets by position, the catch-up/backfill source. (Unbounded:
-  /// the node is the durability boundary for its peers' catch-up; trimming
-  /// below the all-sites stable watermark is future work.)
+  /// Applied MSets by position, the catch-up/backfill source. Unbounded,
+  /// even below the stable floor: a peer's WAL group-commits, so it can
+  /// report watermark p, crash, and come back without p in its log. Its
+  /// catch-up then needs history at or below the floor until a durable
+  /// floor plus snapshot transfer exist.
   std::map<SequenceNumber, core::Mset> history_;
-  std::unordered_map<EtId, SequenceNumber> order_of_;  // applied ETs
-  std::unordered_set<EtId> stable_;
+  /// Highest watermark heard from each site ([self] unused); only rises.
+  std::vector<SequenceNumber> peer_wm_;
+  SequenceNumber stable_floor_ = 0;
+  /// Peers whose MSets this site applied since they last heard its
+  /// watermark: the ones waiting on it to call their own ETs stable.
+  std::vector<bool> wm_owed_;
   /// Highest total-order position this site has observed anywhere (applied,
   /// buffered, or granted) — the probe answer during a sequencer takeover.
   SequenceNumber max_grant_seen_ = 0;
   SiteId catchup_rr_ = 0;  // round-robin cursor for backfill targets
 
-  /// Locally-originated ETs in flight.
+  /// Locally-originated ETs in flight, and the granted ones by position.
   std::unordered_map<EtId, LocalEt> outstanding_;
+  std::map<SequenceNumber, EtId> local_by_pos_;
 
   /// Sequencer client state.
   std::unordered_map<int64_t, PendingSeq> pending_seq_;  // by request id
@@ -212,8 +232,8 @@ class OrdupNode {
   bool seq_server_active_ = false;
   bool seq_sealed_ = false;
   SequenceNumber seq_next_ = 1;
-  std::map<std::pair<SiteId, int64_t>, std::pair<SequenceNumber, int32_t>>
-      granted_;  // (site, request id) -> (first, count); retry dedup
+  /// (site, request id) -> granted position; retry dedup.
+  std::map<std::pair<SiteId, int64_t>, SequenceNumber> granted_;
   /// Latest incarnation each client has spoken with; a jump marks a
   /// restart and triggers healing of the prior life's unfilled grants.
   std::map<SiteId, int64_t> last_incarnation_;
@@ -235,7 +255,6 @@ class OrdupNode {
 
   int64_t applied_count_ = 0;
   int64_t submitted_count_ = 0;
-  int64_t stable_count_ = 0;
 
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_applied_ = nullptr;

@@ -13,10 +13,13 @@
 //     a timer already expired and posted but not yet executed
 //   * strand: tasks never run concurrently and run in post order
 //
-// Plus an end-to-end check: a 3-site OrdupNode cluster over the sim
-// binding converges deterministically, and a site amnesia-restart with an
+// Plus end-to-end checks of OrdupNode over the sim binding: a 3-site
+// cluster converges deterministically; a site amnesia-restart with an
 // in-flight sequencer grant is healed (the order hole is filled, the
-// cluster drains).
+// cluster drains); and watermark stability holds — one number per site,
+// no per-ET stability messages or WAL records, a down site holds stability
+// back everywhere, stale watermarks never move it back, and a lossless
+// network sees no retransmissions.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +27,20 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/wire.h"
+#include "esr/mset.h"
+#include "msg/mailbox.h"
+#include "msg/sequencer_wire.h"
+#include "obs/metric_registry.h"
+#include "recovery/storage.h"
+#include "recovery/wal.h"
 #include "runtime/interfaces.h"
 #include "runtime/ordup_node.h"
 #include "runtime/sim_binding.h"
@@ -443,27 +454,125 @@ TEST(TcpTransportTest, NoDeliveryAfterStopMidBatch) {
 
 /// --- End to end: OrdupNode over the sim binding ---------------------------
 
+/// Transport decorator: counts sends by message type, and lets a test hand
+/// the node a message as if a peer had sent it.
+class CountingTransport : public Transport {
+ public:
+  explicit CountingTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  SiteId self() const override { return inner_->self(); }
+  void SetHandler(Handler handler) override {
+    handler_ = std::move(handler);
+    inner_->SetHandler(
+        [this](SiteId from, Message msg) { handler_(from, std::move(msg)); });
+  }
+  void Send(SiteId to, Message msg) override {
+    ++sent_[msg.type];
+    inner_->Send(to, std::move(msg));
+  }
+  void Start() override { inner_->Start(); }
+  void Stop() override { inner_->Stop(); }
+
+  void Inject(SiteId from, Message msg) { handler_(from, std::move(msg)); }
+  int64_t sent(int type) const {
+    auto it = sent_.find(type);
+    return it == sent_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  Handler handler_;
+  std::map<int, int64_t> sent_;
+};
+
+/// One OrdupNode per site over SimTransport, each with its own metrics and
+/// a WAL on shared in-memory storage.
 struct SimCluster {
   explicit SimCluster(int n, uint64_t seed = 7,
                       sim::NetworkConfig net = LosslessFifoNetwork())
-      : network(&simulator, n, net, seed) {
-    for (SiteId s = 0; s < n; ++s) {
-      transports.push_back(std::make_unique<SimTransport>(&network, s));
-      OrdupNodeConfig cfg;
-      cfg.self = s;
-      cfg.num_sites = n;
-      cfg.sequencer_site = 0;
-      nodes.push_back(std::make_unique<OrdupNode>(
-          cfg, transports.back().get(), &simulator, nullptr, nullptr));
-    }
+      : network(&simulator, n, net, seed),
+        transports(static_cast<size_t>(n)),
+        metrics(static_cast<size_t>(n)),
+        wals(static_cast<size_t>(n)),
+        nodes(static_cast<size_t>(n)) {
+    for (SiteId s = 0; s < n; ++s) Make(s, /*incarnation=*/0, /*durable=*/true);
     for (auto& node : nodes) node->Start();
+  }
+
+  /// Recreates site `s`'s node on a fresh transport and starts it.
+  void Boot(SiteId s, int64_t incarnation, bool durable) {
+    Make(s, incarnation, durable);
+    nodes[static_cast<size_t>(s)]->Start();
+  }
+
+  void Make(SiteId s, int64_t incarnation, bool durable) {
+    const size_t i = static_cast<size_t>(s);
+    transports[i] = std::make_unique<CountingTransport>(
+        std::make_unique<SimTransport>(&network, s));
+    metrics[i] = std::make_unique<obs::MetricRegistry>();
+    recovery::RecoveryConfig rcfg;
+    rcfg.enabled = true;
+    wals[i] = durable ? std::make_unique<recovery::Wal>(
+                            &simulator, &storage, s, rcfg, metrics[i].get())
+                      : nullptr;
+    OrdupNodeConfig cfg;
+    cfg.self = s;
+    cfg.num_sites = static_cast<int>(nodes.size());
+    cfg.sequencer_site = 0;
+    cfg.incarnation = incarnation;
+    nodes[i] = std::make_unique<OrdupNode>(cfg, transports[i].get(),
+                                           &simulator, wals[i].get(),
+                                           metrics[i].get());
+  }
+
+  /// Takes site `s` down; its objects stay alive for events in flight.
+  void Kill(SiteId s) {
+    const size_t i = static_cast<size_t>(s);
+    nodes[i]->Stop();
+    transports[i]->Stop();
+    retired_nodes.push_back(std::move(nodes[i]));
+    retired_transports.push_back(std::move(transports[i]));
+    retired_wals.push_back(std::move(wals[i]));
+  }
+
+  int64_t Counter(SiteId s, const std::string& name) {
+    return metrics[static_cast<size_t>(s)]->GetCounter(name).value();
   }
 
   sim::Simulator simulator;
   sim::Network network;
-  std::vector<std::unique_ptr<SimTransport>> transports;
+  recovery::MemoryStorage storage;
+  std::vector<std::unique_ptr<CountingTransport>> transports;
+  std::vector<std::unique_ptr<obs::MetricRegistry>> metrics;
+  std::vector<std::unique_ptr<recovery::Wal>> wals;
   std::vector<std::unique_ptr<OrdupNode>> nodes;
+  std::vector<std::unique_ptr<OrdupNode>> retired_nodes;
+  std::vector<std::unique_ptr<CountingTransport>> retired_transports;
+  std::vector<std::unique_ptr<recovery::Wal>> retired_wals;
 };
+
+/// Submits `count` one-increment updates round-robin over sites
+/// 0..sites-1, one every `gap_us` from `start`; `fired[k]` counts update
+/// k's callbacks.
+void SubmitPaced(SimCluster& cluster, int count, SimTime start,
+                 SimDuration gap_us, std::vector<int>* fired, int sites = 3) {
+  fired->assign(static_cast<size_t>(count), 0);
+  const int n = sites;
+  for (int k = 0; k < count; ++k) {
+    cluster.simulator.ScheduleAt(start + k * gap_us, [&cluster, fired, k, n] {
+      cluster.nodes[static_cast<size_t>(k % n)]->SubmitUpdate(
+          {store::Operation::Increment(1 + k % 16, 1)},
+          [fired, k] { ++(*fired)[static_cast<size_t>(k)]; });
+    });
+  }
+}
+
+Message WatermarkMsg(SequenceNumber watermark) {
+  wire::Encoder e;
+  e.I64(watermark);
+  return Msg(kWatermarkMsg, e.Take());
+}
 
 TEST(OrdupNodeSimTest, ThreeSitesConvergeDeterministically) {
   uint64_t first_digest = 0;
@@ -500,19 +609,23 @@ TEST(OrdupNodeSimTest, ConvergesUnderLossAndReordering) {
   net.jitter_us = 900;
   net.loss_probability = 0.05;
   SimCluster cluster(3, /*seed=*/42, net);
+  int callbacks = 0;
   for (int round = 0; round < 15; ++round) {
     for (SiteId s = 0; s < 3; ++s) {
       cluster.nodes[static_cast<size_t>(s)]->SubmitUpdate(
-          {store::Operation::Increment(1 + s, 1)});
+          {store::Operation::Increment(1 + s, 1)},
+          [&callbacks] { ++callbacks; });
     }
   }
   cluster.simulator.RunUntil(10'000'000);
+  EXPECT_EQ(callbacks, 45);
   const uint64_t digest = cluster.nodes[0]->store().StateDigest();
   for (SiteId s = 0; s < 3; ++s) {
     OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
     EXPECT_EQ(node.applied_watermark(), 45) << "site " << s;
     EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
     EXPECT_TRUE(node.Idle()) << "site " << s;
+    EXPECT_EQ(node.stable_count(), 45) << "site " << s;
   }
 }
 
@@ -561,6 +674,138 @@ TEST(OrdupNodeSimTest, AmnesiaRestartWithInFlightGrantHealsOrderHole) {
   EXPECT_EQ(restarted.store().Read(1).AsInt(), 0);
   EXPECT_EQ(restarted.store().Read(2).AsInt(), 5);
   EXPECT_EQ(restarted.store().Read(3).AsInt(), 7);
+}
+
+TEST(OrdupNodeSimTest, StabilityNeedsNoPerEtMessagesOrWalRecords) {
+  // Stability rides on one cumulative watermark per site: no apply acks,
+  // no stability notices, no stability acks, and no kStable WAL records.
+  SimCluster cluster(3);
+  constexpr int kUpdates = 300;
+  std::vector<int> fired;
+  SubmitPaced(cluster, kUpdates, 10'000, 100, &fired);
+  cluster.simulator.RunUntil(1'000'000);
+  constexpr int kRetiredStableAckMsg = 112;  // the per-ET stability ack
+  int64_t watermark_msgs = 0;
+  for (SiteId s = 0; s < 3; ++s) {
+    const size_t i = static_cast<size_t>(s);
+    OrdupNode& node = *cluster.nodes[i];
+    EXPECT_EQ(node.stable_count(), kUpdates) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+    const CountingTransport& t = *cluster.transports[i];
+    EXPECT_EQ(t.sent(core::kApplyAckMsg), 0) << "site " << s;
+    EXPECT_EQ(t.sent(core::kStableMsg), 0) << "site " << s;
+    EXPECT_EQ(t.sent(kRetiredStableAckMsg), 0) << "site " << s;
+    watermark_msgs += t.sent(kWatermarkMsg);
+    cluster.wals[i]->Flush();
+    int64_t msets = 0;
+    for (const recovery::WalRecord& rec : cluster.wals[i]->ReadAll()) {
+      EXPECT_EQ(rec.type, recovery::WalRecordType::kMset) << "site " << s;
+      ++msets;
+    }
+    EXPECT_EQ(msets, kUpdates) << "site " << s;
+  }
+  for (int k = 0; k < kUpdates; ++k) {
+    EXPECT_EQ(fired[static_cast<size_t>(k)], 1) << "update " << k;
+  }
+  // Standalone watermarks (idle links and retry ticks) stay well below
+  // one per update cluster-wide.
+  EXPECT_LT(watermark_msgs, kUpdates);
+}
+
+TEST(OrdupNodeSimTest, LosslessNetworkSeesNoRetransmits) {
+  // Updates every 100 µs for several retry ticks on a lossless 1 ms
+  // network: every request is granted and every MSet applied well within
+  // one retry interval, so the retry loop must re-send nothing.
+  SimCluster cluster(3);
+  constexpr int kUpdates = 2'000;  // 200 ms: four retry ticks
+  std::vector<int> fired;
+  SubmitPaced(cluster, kUpdates, 10'000, 100, &fired);
+  cluster.simulator.RunUntil(2'000'000);
+  for (SiteId s = 0; s < 3; ++s) {
+    OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), kUpdates) << "site " << s;
+    EXPECT_EQ(node.stable_count(), kUpdates) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+    EXPECT_EQ(cluster.Counter(s, "esr_runtime_retransmits_total"), 0)
+        << "site " << s;
+  }
+}
+
+TEST(OrdupNodeSimTest, DownSiteHoldsBackStabilityUntilItRestarts) {
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);  // past the sequencer's start-up probe
+  cluster.Kill(2);
+  std::vector<int> fired;
+  SubmitPaced(cluster, 20, 20'000, 100, &fired, /*sites=*/2);
+  cluster.simulator.RunUntil(1'000'000);
+  for (SiteId s = 0; s < 2; ++s) {
+    OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), 20) << "site " << s;
+    EXPECT_EQ(node.stable_count(), 0) << "site " << s;
+    EXPECT_FALSE(node.Idle()) << "site " << s;
+  }
+  for (int k = 0; k < 20; ++k) EXPECT_EQ(fired[static_cast<size_t>(k)], 0);
+
+  // Amnesia restart: no WAL, fresh incarnation, catch-up from the peers.
+  cluster.Boot(2, /*incarnation=*/1'000'000, /*durable=*/false);
+  cluster.simulator.RunUntil(3'000'000);
+  const SequenceNumber wm = cluster.nodes[0]->applied_watermark();
+  for (SiteId s = 0; s < 3; ++s) {
+    OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), wm) << "site " << s;
+    EXPECT_EQ(node.stable_count(), wm) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+  }
+  for (int k = 0; k < 20; ++k) {
+    EXPECT_EQ(fired[static_cast<size_t>(k)], 1) << "update " << k;
+  }
+}
+
+TEST(OrdupNodeSimTest, StaleWatermarkDoesNotMoveStabilityBack) {
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);
+  cluster.Kill(2);
+  int fired = 0;
+  for (int k = 0; k < 5; ++k) {
+    cluster.nodes[0]->SubmitUpdate({store::Operation::Increment(1, 1)},
+                                   [&fired] { ++fired; });
+  }
+  cluster.simulator.RunUntil(500'000);
+  OrdupNode& node = *cluster.nodes[0];
+  CountingTransport& transport = *cluster.transports[0];
+  ASSERT_EQ(node.applied_watermark(), 5);
+  EXPECT_EQ(node.stable_count(), 0);  // site 2 has reported nothing
+
+  transport.Inject(2, WatermarkMsg(5));
+  EXPECT_EQ(node.stable_count(), 5);
+  EXPECT_EQ(fired, 5);
+  EXPECT_TRUE(node.Idle());
+
+  // A stale report (delayed, or from before a restart) arrives late.
+  transport.Inject(2, WatermarkMsg(1));
+  EXPECT_EQ(node.stable_count(), 5);
+  cluster.simulator.RunUntil(1'000'000);
+  EXPECT_EQ(node.stable_count(), 5);
+  EXPECT_EQ(fired, 5);
+}
+
+TEST(OrdupNodeSimTest, SequencerDropsMultiPositionRequest) {
+  // A request for 2^20 positions from the wire must not reserve them: the
+  // positions would stay unfilled and stall the total order for everyone.
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);
+  msg::SeqBatchRequest bogus{/*request_id=*/999, /*count=*/1 << 20,
+                             cluster.nodes[0]->sequencer_epoch(),
+                             TraceContext{}, /*incarnation=*/0};
+  cluster.transports[0]->Inject(
+      1, Msg(msg::kSeqRequest, msg::EncodeSeqBatchRequest(bogus)));
+  cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(4, 9)});
+  cluster.simulator.RunUntil(1'000'000);
+  for (SiteId s = 0; s < 3; ++s) {
+    OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), 1) << "site " << s;
+    EXPECT_EQ(node.store().Read(4).AsInt(), 9) << "site " << s;
+  }
 }
 
 }  // namespace
