@@ -313,6 +313,7 @@ int main(int argc, char** argv) {
     int64_t epoch = 0;
     double stable_p50 = 0, stable_p95 = 0, stable_p99 = 0;
     double commit_p50 = 0;
+    double seq_batch_mean = 0, seq_rtt_p50 = 0;
   } fin;
   OnStrand(strand.get(), [&] {
     if (wal) wal->Flush();
@@ -330,6 +331,11 @@ int main(int argc, char** argv) {
     fin.stable_p99 = QuantileOr(stable_h, 0.99, 0);
     fin.commit_p50 = QuantileOr(
         metrics.GetHistogram("esr_runtime_submit_to_commit_us"), 0.5, 0);
+    const auto& batch_h = metrics.GetHistogram("esr_seq_batch_size");
+    fin.seq_batch_mean =
+        batch_h.count() > 0 ? batch_h.sum() / batch_h.count() : 0;
+    fin.seq_rtt_p50 =
+        QuantileOr(metrics.GetHistogram("esr_seq_rtt_us"), 0.5, 0);
     // Final snapshot so the last scrape sees the drained counters.
     if (publishing.load()) {
       publishing.store(false);
@@ -354,6 +360,7 @@ int main(int argc, char** argv) {
       "\"submitted_per_sec\":%.1f,"
       "\"commit_to_stable_p50_us\":%.0f,\"commit_to_stable_p95_us\":%.0f,"
       "\"commit_to_stable_p99_us\":%.0f,\"submit_to_commit_p50_us\":%.0f,"
+      "\"seq_batch_mean\":%.2f,\"seq_rtt_p50_us\":%.0f,"
       "\"dropped_sends\":%lld}\n",
       site, drained ? "true" : "false",
       static_cast<unsigned long long>(fin.digest),
@@ -363,7 +370,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(fin.stable),
       static_cast<long long>(fin.epoch), wall_s,
       wall_s > 0 ? fin.submitted / wall_s : 0, fin.stable_p50, fin.stable_p95,
-      fin.stable_p99, fin.commit_p50,
+      fin.stable_p99, fin.commit_p50, fin.seq_batch_mean, fin.seq_rtt_p50,
       static_cast<long long>(transport.dropped_sends()));
   std::fputs(json, stdout);
   if (!status_file.empty()) {

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # esrd smoke gate: boots a real 3-process ORDUP cluster on loopback TCP
 # (the deployment shape documented in README.md's esrd quickstart),
-# SIGKILLs one follower mid-run, restarts it over the same WAL directory,
-# and asserts that every site drains cleanly (exit 0) and converges to an
+# SIGKILLs one follower mid-run and restarts it over the same WAL
+# directory, then does the same to the sequencer's site (site 0), and
+# asserts that every site drains cleanly (exit 0) and converges to an
 # identical state digest. This is the end-to-end proof that the runtime
-# binding — TcpTransport, TimerWheel, thread-pool strands, WAL replay and
-# incarnation-based order-hole healing — works outside the simulator.
-# It also prints each site's commit->stable p99 from its status JSON: the
-# stability tail through a real crash (informational, not a gate).
+# binding — TcpTransport, TimerWheel, thread-pool strands, WAL replay,
+# incarnation-based order-hole healing, and the order server's
+# probe/epoch restart with the clients' re-sent requests — works outside
+# the simulator. It also prints each site's commit->stable p99 and its
+# sequencer batch size and round trip from its status JSON: the stability
+# tail through real crashes (informational, not a gate).
 #
 # Usage:
 #   scripts/run_esrd_smoke.sh [base-port]   # default: a random high port
@@ -50,6 +53,14 @@ sleep 0.5
 spawn 2 5   # restarts over the same WAL, finishing with the others
 echo "esrd smoke: site 2 restarted over its WAL"
 
+sleep 1.5
+echo "esrd smoke: SIGKILL sequencer site 0"
+kill -9 "${PIDS[0]}"
+wait "${PIDS[0]}" 2>/dev/null || true
+sleep 0.5
+spawn 0 3.5   # the order server comes back over its WAL in a new epoch
+echo "esrd smoke: site 0 restarted over its WAL"
+
 FAIL=0
 for site in 0 1 2; do
   if ! wait "${PIDS[$site]}"; then
@@ -64,10 +75,17 @@ digest() {
 }
 D0=$(digest 0); D1=$(digest 1); D2=$(digest 2)
 echo "esrd smoke: digests $D0 $D1 $D2"
+field() {  # field <site> <name>: a number from the site's status JSON
+  sed -n "s/.*\"$2\":\([0-9.]*\).*/\1/p" "$DIR/status_$1.json" \
+    2>/dev/null || true
+}
 for site in 0 1 2; do
-  P99=$(sed -n 's/.*"commit_to_stable_p99_us":\([0-9.]*\).*/\1/p' \
-    "$DIR/status_$site.json" 2>/dev/null || true)
-  echo "esrd smoke: site $site commit->stable p99 ${P99:-?} us"
+  P99=$(field "$site" commit_to_stable_p99_us)
+  BATCH=$(field "$site" seq_batch_mean)
+  RTT=$(field "$site" seq_rtt_p50_us)
+  EPOCH=$(field "$site" sequencer_epoch)
+  echo "esrd smoke: site $site commit->stable p99 ${P99:-?} us," \
+    "sequencer epoch ${EPOCH:-?}, batch mean ${BATCH:-?}, rtt p50 ${RTT:-?} us"
 done
 [[ -n "$D0" && "$D0" == "$D1" && "$D1" == "$D2" ]] || {
   echo "esrd smoke: digests diverged (logs in $DIR)"

@@ -17,11 +17,6 @@ constexpr int64_t kSeqMsgBytes = 48;
 /// dominates; each entry only adds to a count).
 constexpr int64_t kSeqBatchEntryBytes = 4;
 
-const std::vector<double> kBatchSizeBounds = {1, 2, 4, 8, 16, 32, 64, 128};
-const std::vector<double> kRttBounds = {100,    250,    500,    1'000,
-                                        2'500,  5'000,  10'000, 25'000,
-                                        50'000, 100'000};
-
 /// {shard="k"} for per-shard sequencer instances; empty (the original
 /// unlabeled series) for the global one.
 obs::LabelSet ShardLabels(int32_t shard) {
@@ -102,7 +97,7 @@ void SequencerServer::HandleRequest(SiteId source, const std::any& body) {
         .Increment();
     metrics_
         ->GetHistogram("esr_seq_batch_size", ShardLabels(metric_shard_),
-                       kBatchSizeBounds)
+                       kSeqBatchSizeBounds)
         .Observe(static_cast<double>(req->count));
   }
   if (service_time_us_ <= 0) {
@@ -423,7 +418,7 @@ void SequencerClient::HandleCrossGrant(SiteId /*source*/,
     const SimTime now = mailbox_->network()->simulator()->Now();
     metrics_
         ->GetHistogram("esr_seq_rtt_us", ShardLabels(metric_shard_),
-                       kRttBounds)
+                       kSeqRttBoundsUs)
         .Observe(static_cast<double>(now - entry.begin));
   }
   entry.done(grant->position, grant->request_id);
@@ -485,7 +480,7 @@ void SequencerClient::HandleGrant(SiteId /*source*/, const std::any& body) {
     if (metrics_ != nullptr && entry.begin >= 0) {
       metrics_
           ->GetHistogram("esr_seq_rtt_us", ShardLabels(metric_shard_),
-                         kRttBounds)
+                         kSeqRttBoundsUs)
           .Observe(static_cast<double>(now - entry.begin));
     }
     entry.done(grant->first + static_cast<SequenceNumber>(i));

@@ -308,6 +308,13 @@ class SequencerClient {
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
 
+/// Buckets of the esr_seq_batch_size and esr_seq_rtt_us histograms, shared
+/// by every order server and client that reports them.
+inline const std::vector<double> kSeqBatchSizeBounds = {1,  2,  4,  8,
+                                                        16, 32, 64, 128};
+inline const std::vector<double> kSeqRttBoundsUs = {
+    100, 250, 500, 1'000, 2'500, 5'000, 10'000, 25'000, 50'000, 100'000};
+
 /// Wire formats (shared between server and client).
 struct SeqBatchRequest {
   int64_t request_id;

@@ -12,12 +12,26 @@ namespace esr::runtime {
 
 namespace {
 
-/// An MSet on the wire: the sender's applied watermark, then the record.
-std::string EncodeMset(SequenceNumber watermark, const core::Mset& mset) {
+/// MSets on the wire: the sender's applied watermark, then
+/// `U32 n ++ n × MsetRec`.
+std::string EncodeMsets(SequenceNumber watermark,
+                        const std::vector<const core::Mset*>& msets) {
   recovery::Encoder e;
   e.I64(watermark);
-  e.MsetRec(mset);
+  e.U32(static_cast<uint32_t>(msets.size()));
+  for (const core::Mset* mset : msets) e.MsetRec(*mset);
   return e.Take();
+}
+
+/// Reads `U32 n ++ n × MsetRec` (an MSet message after its watermark, or a
+/// catch-up response). All or nothing: false on a torn or corrupt list.
+bool DecodeMsets(recovery::Decoder& d, std::vector<core::Mset>* out) {
+  const uint32_t n = d.U32();
+  for (uint32_t i = 0; i < n && d.ok(); ++i) {
+    out->push_back(d.MsetRec());
+    if (out->back().global_order < 1) return false;
+  }
+  return d.ok();
 }
 
 std::string EncodeWatermark(SequenceNumber watermark) {
@@ -57,6 +71,11 @@ OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
         &metrics_->GetHistogram("esr_runtime_commit_to_stable_us");
     m_submit_commit_us_ =
         &metrics_->GetHistogram("esr_runtime_submit_to_commit_us");
+    m_seq_batches_ = &metrics_->GetCounter("esr_seq_batches_total");
+    m_seq_batch_size_ = &metrics_->GetHistogram("esr_seq_batch_size", {},
+                                                msg::kSeqBatchSizeBounds);
+    m_seq_rtt_us_ =
+        &metrics_->GetHistogram("esr_seq_rtt_us", {}, msg::kSeqRttBoundsUs);
   }
 }
 
@@ -137,22 +156,36 @@ EtId OrdupNode::SubmitUpdate(std::vector<store::Operation> ops,
   ++submitted_count_;
   if (m_submitted_ != nullptr) m_submitted_->Increment();
 
-  const int64_t rid = next_request_id_++;
-  PendingSeq& pending = pending_seq_[rid];
-  pending.et = et;
-  SendRequest(rid, pending);
+  unrequested_.push_back(et);
+  RequestQueued();
   return et;
 }
 
-void OrdupNode::SendRequest(int64_t rid, PendingSeq& pending) {
+void OrdupNode::RequestQueued() {
+  if (!pending_seq_.ets.empty() || unrequested_.empty()) return;
+  if (unrequested_.size() <= static_cast<size_t>(kMaxSeqBatch)) {
+    pending_seq_.ets.swap(unrequested_);
+  } else {
+    const auto cut = unrequested_.begin() + kMaxSeqBatch;
+    pending_seq_.ets.assign(unrequested_.begin(), cut);
+    unrequested_.erase(unrequested_.begin(), cut);
+  }
+  pending_seq_.request_id = next_request_id_++;
+  pending_seq_.first_sent_at = clock_->Now();
+  SendRequest();
+}
+
+void OrdupNode::SendRequest() {
+  PendingSeq& pending = pending_seq_;
+  const EtId first_et = pending.ets.front();
   pending.epoch = seq_epoch_;
   pending.sent_at = clock_->Now();
   msg::SeqBatchRequest req{
-      rid, 1, seq_epoch_,
-      TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
+      pending.request_id, static_cast<int32_t>(pending.ets.size()),
+      seq_epoch_, TraceContext{first_et, 0, config_.self, msg::kSeqRequest},
       config_.incarnation};
   SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-         pending.et);
+         first_et);
 }
 
 void OrdupNode::HandleMessage(SiteId from, Message msg) {
@@ -160,9 +193,9 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
     case core::kMsetMsg: {
       recovery::Decoder d(msg.payload);
       const SequenceNumber watermark = d.I64();
-      const core::Mset mset = d.MsetRec();
-      if (d.ok() && mset.global_order >= 1) {
-        Admit(mset, /*persist=*/true);
+      std::vector<core::Mset> msets;
+      if (DecodeMsets(d, &msets)) {
+        for (const core::Mset& mset : msets) Admit(mset, /*persist=*/true);
         HandleWatermark(from, watermark);
       }
       break;
@@ -227,9 +260,7 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
 
 void OrdupNode::HandleSeqRequest(SiteId from, const msg::SeqBatchRequest& req) {
   if (!seq_server_active_ || seq_sealed_) return;
-  // Clients ask for one position per request; any other count (a corrupt or
-  // foreign request) would reserve positions nobody fills.
-  if (req.count != 1) return;
+  if (req.count < 1 || req.count > kMaxSeqBatch) return;
   // Incarnation bookkeeping happens before the epoch gate: even a
   // stale-epoch request proves the site restarted.
   auto inc_it = last_incarnation_.find(from);
@@ -260,22 +291,55 @@ void OrdupNode::HandleSeqRequest(SiteId from, const msg::SeqBatchRequest& req) {
   // A retry of a granted request gets the identical grant (the original may
   // be in flight or lost — never grant the same request twice).
   const std::pair<SiteId, int64_t> key{from, req.request_id};
-  auto [it, fresh] = granted_.try_emplace(key, seq_next_);
+  auto [it, fresh] =
+      granted_.try_emplace(key, std::make_pair(seq_next_, req.count));
   if (fresh) {
-    unfilled_grants_.emplace(seq_next_++,
-                             std::make_pair(from, req.incarnation));
+    for (int32_t i = 0; i < req.count; ++i) {
+      unfilled_grants_.emplace(seq_next_++,
+                               std::make_pair(from, req.incarnation));
+    }
   }
-  msg::SeqBatchGrant grant{req.request_id, it->second, 1, seq_epoch_};
+  const auto [first, count] = it->second;
+  msg::SeqBatchGrant grant{req.request_id, first, count, seq_epoch_};
   SendTo(from, msg::kSeqResponse, msg::EncodeSeqBatchGrant(grant), req.trace.et);
 }
 
 void OrdupNode::HandleSeqGrant(const msg::SeqBatchGrant& grant) {
-  auto it = pending_seq_.find(grant.request_id);
-  if (it == pending_seq_.end()) return;  // duplicate grant
+  PendingSeq& pending = pending_seq_;
+  if (pending.ets.empty() || grant.request_id != pending.request_id) {
+    return;  // duplicate grant
+  }
   if (grant.epoch < seq_epoch_) return;  // superseded; re-sent on announce
-  const EtId et = it->second.et;
-  pending_seq_.erase(it);
-  OnGranted(et, grant.first, grant.epoch);
+  // A block of another size is not this request's grant (corrupt, or a
+  // server answering someone else): positions would be left unfilled or
+  // taken twice.
+  if (grant.count != static_cast<int32_t>(pending.ets.size())) return;
+  const SimTime now = clock_->Now();
+  if (m_seq_batches_ != nullptr) {
+    m_seq_batches_->Increment();
+    m_seq_batch_size_->Observe(static_cast<double>(grant.count));
+    m_seq_rtt_us_->Observe(static_cast<double>(now - pending.first_sent_at));
+  }
+  const std::vector<EtId> ets = std::move(pending.ets);
+  pending.ets.clear();
+  // Ask for everything queued during the round trip before the MSets go.
+  RequestQueued();
+  std::vector<const core::Mset*> granted;
+  granted.reserve(ets.size());
+  for (size_t i = 0; i < ets.size(); ++i) {
+    LocalEt& local = outstanding_.at(ets[i]);
+    core::Mset& mset = local.mset;
+    mset.et = ets[i];
+    mset.origin = config_.self;
+    mset.global_order = grant.first + static_cast<SequenceNumber>(i);
+    mset.timestamp = LamportTimestamp{++lamport_, config_.self};
+    mset.tentative = false;
+    local_by_pos_.emplace(mset.global_order, ets[i]);
+    local.sent_at = now;
+    Admit(mset, /*persist=*/true);
+    granted.push_back(&mset);
+  }
+  BroadcastMsets(granted);
 }
 
 void OrdupNode::HandleSeqProbeRequest(SiteId from,
@@ -309,7 +373,7 @@ void OrdupNode::FinishSequencerProbe() {
   const std::string payload = msg::EncodeSeqEpochAnnounce(ann);
   Broadcast(msg::kSeqEpochAnnounce, payload, kInvalidEtId);
   // The co-located client adopts the epoch directly and re-requests.
-  for (auto& [rid, pending] : pending_seq_) SendRequest(rid, pending);
+  if (!pending_seq_.ets.empty()) SendRequest();
 }
 
 void OrdupNode::HandleEpochAnnounce(SiteId /*from*/,
@@ -317,30 +381,10 @@ void OrdupNode::HandleEpochAnnounce(SiteId /*from*/,
   if (ann.epoch <= seq_epoch_) return;
   seq_epoch_ = ann.epoch;
   seq_home_ = ann.home;
-  // Re-send everything outstanding in the new epoch; the new server has no
-  // record of these request ids, so fresh positions are granted (positions
-  // the old epoch granted but this client never learned are covered by the
-  // probe floor).
-  for (auto& [rid, pending] : pending_seq_) SendRequest(rid, pending);
-}
-
-void OrdupNode::OnGranted(EtId et, SequenceNumber position, int64_t epoch) {
-  max_grant_seen_ = std::max(max_grant_seen_, position);
-  (void)epoch;
-  auto it = outstanding_.find(et);
-  if (it == outstanding_.end()) return;  // lost to a restart; see header
-  LocalEt& local = it->second;
-  core::Mset& mset = local.mset;
-  if (mset.global_order > 0) return;  // duplicate grant
-  mset.et = et;
-  mset.origin = config_.self;
-  mset.global_order = position;
-  mset.timestamp = LamportTimestamp{++lamport_, config_.self};
-  mset.tentative = false;
-  local_by_pos_.emplace(position, et);
-  local.sent_at = clock_->Now();
-  Admit(mset, /*persist=*/true);
-  BroadcastMset(mset);
+  // Re-send the request in flight in the new epoch; the new server has no
+  // record of its id, so a fresh block is granted (positions the old epoch
+  // granted but this client never learned are covered by the probe floor).
+  if (!pending_seq_.ets.empty()) SendRequest();
 }
 
 /// --- Order-hole healing (sequencer server only) ----------------------------
@@ -392,7 +436,7 @@ void OrdupNode::HandlePosProbeResp(SiteId from, std::string_view payload) {
     // the real MSet. Adopt and re-broadcast it; never fill with a no-op.
     healing_.erase(it);
     Admit(mset, /*persist=*/true);
-    BroadcastMset(mset);
+    BroadcastMsets({&mset});
     return;
   }
   it->second.erase(from);
@@ -416,7 +460,7 @@ void OrdupNode::FillHole(SequenceNumber pos) {
   noop.timestamp = LamportTimestamp{++lamport_, config_.self};
   noop.tentative = false;
   Admit(noop, /*persist=*/true);
-  BroadcastMset(noop);
+  BroadcastMsets({&noop});
 }
 
 /// --- Total order admission + apply ----------------------------------------
@@ -434,13 +478,21 @@ void OrdupNode::Admit(const core::Mset& mset, bool persist) {
   }
   if (persist && wal_ != nullptr) wal_->AppendMset(mset);
   holdback_.emplace(order, mset);
+  const SequenceNumber before = applied_watermark_;
   while (!holdback_.empty() &&
          holdback_.begin()->first == applied_watermark_ + 1) {
     const core::Mset next = holdback_.begin()->second;
     holdback_.erase(holdback_.begin());
     ApplyInOrder(next);
   }
-  gap_since_ = holdback_.empty() ? -1 : clock_->Now();
+  // The gap's age restarts only when the order moves: MSets arriving behind
+  // a gap must not keep it young, or under steady traffic it never
+  // outlives the gap timeout and is never backfilled.
+  if (holdback_.empty()) {
+    gap_since_ = -1;
+  } else if (gap_since_ < 0 || applied_watermark_ > before) {
+    gap_since_ = clock_->Now();
+  }
 }
 
 void OrdupNode::ApplyInOrder(const core::Mset& mset) {
@@ -503,7 +555,7 @@ void OrdupNode::AdvanceStable() {
 }
 
 void OrdupNode::FlushWatermark() {
-  if (!running_ || !pending_seq_.empty()) return;
+  if (!running_ || !pending_seq_.ets.empty()) return;
   std::string payload;
   for (SiteId s = 0; s < config_.num_sites; ++s) {
     if (!wm_owed_[static_cast<size_t>(s)]) continue;
@@ -554,18 +606,13 @@ void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
 
 void OrdupNode::HandleCatchupResp(std::string_view payload) {
   recovery::Decoder d(payload);
-  const uint32_t n = d.U32();
-  if (!d.ok()) return;
-  bool advanced = false;
-  for (uint32_t i = 0; i < n && d.ok(); ++i) {
-    const core::Mset mset = d.MsetRec();
-    if (!d.ok() || mset.global_order < 1) break;
-    const SequenceNumber before = applied_watermark_;
-    Admit(mset, /*persist=*/true);
-    advanced = advanced || applied_watermark_ > before;
-  }
+  std::vector<core::Mset> msets;
+  if (!DecodeMsets(d, &msets)) return;
+  const SequenceNumber before = applied_watermark_;
+  for (const core::Mset& mset : msets) Admit(mset, /*persist=*/true);
   // A full batch means the responder has more; keep pulling.
-  if (advanced && n >= static_cast<uint32_t>(config_.catchup_batch)) {
+  if (applied_watermark_ > before &&
+      msets.size() >= static_cast<size_t>(config_.catchup_batch)) {
     SendCatchupRequest();
   }
 }
@@ -578,11 +625,10 @@ void OrdupNode::RetryTick() {
   const auto stale = [&](SimTime sent_at) {
     return now - sent_at >= config_.retry_interval_us;
   };
-  // Re-send sequencer requests that went unanswered for a whole interval
+  // Re-send a sequencer request that went unanswered for a whole interval
   // (the server dedups by request id).
-  for (auto& [rid, pending] : pending_seq_) {
-    if (!stale(pending.sent_at)) continue;
-    SendRequest(rid, pending);
+  if (!pending_seq_.ets.empty() && stale(pending_seq_.sent_at)) {
+    SendRequest();
     if (m_retransmits_ != nullptr) m_retransmits_->Increment();
   }
   // Re-send stale MSets to the peers whose watermark is still below them.
@@ -594,7 +640,9 @@ void OrdupNode::RetryTick() {
       if (s == config_.self || peer_wm_[static_cast<size_t>(s)] >= pos) {
         continue;
       }
-      if (payload.empty()) payload = EncodeMset(applied_watermark_, local.mset);
+      if (payload.empty()) {
+        payload = EncodeMsets(applied_watermark_, {&local.mset});
+      }
       SendTo(s, core::kMsetMsg, payload, et);
       local.sent_at = now;
       if (m_retransmits_ != nullptr) m_retransmits_->Increment();
@@ -646,8 +694,9 @@ void OrdupNode::Broadcast(int type, const std::string& payload, EtId et) {
   }
 }
 
-void OrdupNode::BroadcastMset(const core::Mset& mset) {
-  Broadcast(core::kMsetMsg, EncodeMset(applied_watermark_, mset), mset.et);
+void OrdupNode::BroadcastMsets(const std::vector<const core::Mset*>& msets) {
+  Broadcast(core::kMsetMsg, EncodeMsets(applied_watermark_, msets),
+            msets.front()->et);
   wm_owed_.assign(wm_owed_.size(), false);
 }
 
@@ -665,11 +714,15 @@ SequenceNumber OrdupNode::MaxOrderSeen() const {
 std::string OrdupNode::DebugStuck(int limit) const {
   std::string out;
   int n = 0;
-  for (const auto& [rid, pending] : pending_seq_) {
-    if (n++ >= limit) break;
-    out += "pending{rid=" + std::to_string(rid) +
-           ",et=" + std::to_string(pending.et) +
-           ",epoch=" + std::to_string(pending.epoch) + "} ";
+  if (!pending_seq_.ets.empty()) {
+    ++n;
+    out += "pending{rid=" + std::to_string(pending_seq_.request_id) +
+           ",ets=" + std::to_string(pending_seq_.ets.size()) +
+           ",first_et=" + std::to_string(pending_seq_.ets.front()) +
+           ",epoch=" + std::to_string(pending_seq_.epoch) + "} ";
+  }
+  if (!unrequested_.empty()) {
+    out += "queued=" + std::to_string(unrequested_.size()) + " ";
   }
   for (const auto& [et, local] : outstanding_) {
     if (n++ >= limit) break;

@@ -29,6 +29,10 @@ inline constexpr int kPosProbeReqMsg = 115;
 inline constexpr int kPosProbeRespMsg = 116;
 /// A site's applied watermark on its own, for links with no MSet to carry it.
 inline constexpr int kWatermarkMsg = 117;
+/// Most positions one sequencer request may ask for. The order server drops
+/// any request outside [1, kMaxSeqBatch]: a corrupt count would reserve
+/// positions nobody fills and stall the total order for everyone.
+inline constexpr int32_t kMaxSeqBatch = 1024;
 
 struct OrdupNodeConfig {
   SiteId self = 0;
@@ -73,6 +77,12 @@ struct OrdupNodeConfig {
 /// sends (or on its own when it has no MSet going out). The stable floor
 /// is the minimum of its own watermark and the highest one heard from each
 /// peer; the origin fires `on_stable` for its ETs at or below it.
+///
+/// Group sequencing: a site keeps at most one sequencer request in flight.
+/// ETs submitted meanwhile queue, and the grant's arrival asks once for all
+/// of them; the server grants a contiguous block, and the site broadcasts
+/// the block's MSets as one message per peer. An idle site's request holds
+/// one ET and leaves at once; under load the batch grows with the queue.
 ///
 /// Reliability model: the transport is at-least-once/in-order at best and
 /// lossy at worst, so every protocol edge is duplicate-tolerant and
@@ -120,14 +130,18 @@ class OrdupNode {
   int64_t submitted_count() const { return submitted_count_; }
   /// The stable floor: every position at or below it is applied everywhere.
   int64_t stable_count() const { return stable_floor_; }
-  /// No locally-originated ET still awaiting its grant or stability.
-  bool Idle() const { return outstanding_.empty() && pending_seq_.empty(); }
+  /// No locally-originated ET still queued, awaiting its grant or stability.
+  bool Idle() const {
+    return outstanding_.empty() && pending_seq_.ets.empty() &&
+           unrequested_.empty();
+  }
   int64_t sequencer_epoch() const { return seq_epoch_; }
   int64_t outstanding_size() const {
     return static_cast<int64_t>(outstanding_.size());
   }
+  /// Local ETs without a position yet: requested or still queued.
   int64_t pending_seq_size() const {
-    return static_cast<int64_t>(pending_seq_.size());
+    return static_cast<int64_t>(pending_seq_.ets.size() + unrequested_.size());
   }
   /// One-line debug rendering of up to `limit` stuck local ETs.
   std::string DebugStuck(int limit = 4) const;
@@ -142,11 +156,13 @@ class OrdupNode {
     std::function<void()> on_stable;
   };
 
-  /// Sequencer request awaiting its grant (one position per request).
+  /// The sequencer request in flight: one position per ET, in submit order.
   struct PendingSeq {
-    EtId et = kInvalidEtId;
+    int64_t request_id = 0;
+    std::vector<EtId> ets;  // empty = no request in flight
     int64_t epoch = 0;
-    SimTime sent_at = 0;  // last (re)send of the request
+    SimTime first_sent_at = 0;  // start of the round trip (retries keep it)
+    SimTime sent_at = 0;        // last (re)send of the request
   };
 
   void HandleMessage(SiteId from, Message msg);
@@ -166,7 +182,6 @@ class OrdupNode {
   /// Every site denied holding `pos`: fill it with a no-op MSet.
   void FillHole(SequenceNumber pos);
 
-  void OnGranted(EtId et, SequenceNumber position, int64_t epoch);
   /// Inserts into the order buffer and drains every contiguous MSet.
   void Admit(const core::Mset& mset, bool durable);
   void ApplyInOrder(const core::Mset& mset);
@@ -176,14 +191,16 @@ class OrdupNode {
   /// is pending: its MSet will soon carry the watermark to every peer.
   void FlushWatermark();
   void BroadcastWatermark();
-  void SendRequest(int64_t rid, PendingSeq& pending);
+  /// Requests positions for the queued ETs unless a request is in flight.
+  void RequestQueued();
+  void SendRequest();
   void RetryTick();
   void SendCatchupRequest();
   void FinishSequencerProbe();
   void SendTo(SiteId to, int type, std::string payload, EtId et);
   void Broadcast(int type, const std::string& payload, EtId et);
-  /// Broadcasts `mset` with the current watermark prefixed.
-  void BroadcastMset(const core::Mset& mset);
+  /// Broadcasts `msets` as one message per peer, current watermark prefixed.
+  void BroadcastMsets(const std::vector<const core::Mset*>& msets);
   SequenceNumber MaxOrderSeen() const;
   void ReplayWal();
 
@@ -222,8 +239,10 @@ class OrdupNode {
   std::unordered_map<EtId, LocalEt> outstanding_;
   std::map<SequenceNumber, EtId> local_by_pos_;
 
-  /// Sequencer client state.
-  std::unordered_map<int64_t, PendingSeq> pending_seq_;  // by request id
+  /// Sequencer client state: the request in flight, and the ETs submitted
+  /// since it left (in submit order), which the next request asks for.
+  PendingSeq pending_seq_;
+  std::vector<EtId> unrequested_;
   int64_t next_request_id_ = 1;
   int64_t seq_epoch_ = 1;
   SiteId seq_home_ = 0;
@@ -232,8 +251,10 @@ class OrdupNode {
   bool seq_server_active_ = false;
   bool seq_sealed_ = false;
   SequenceNumber seq_next_ = 1;
-  /// (site, request id) -> granted position; retry dedup.
-  std::map<std::pair<SiteId, int64_t>, SequenceNumber> granted_;
+  /// (site, request id) -> granted block (first position, count); retry
+  /// dedup, one entry per request.
+  std::map<std::pair<SiteId, int64_t>, std::pair<SequenceNumber, int32_t>>
+      granted_;
   /// Latest incarnation each client has spoken with; a jump marks a
   /// restart and triggers healing of the prior life's unfilled grants.
   std::map<SiteId, int64_t> last_incarnation_;
@@ -263,6 +284,9 @@ class OrdupNode {
   obs::Counter* m_duplicates_ = nullptr;
   obs::Histogram* m_commit_stable_us_ = nullptr;
   obs::Histogram* m_submit_commit_us_ = nullptr;
+  obs::Counter* m_seq_batches_ = nullptr;
+  obs::Histogram* m_seq_batch_size_ = nullptr;
+  obs::Histogram* m_seq_rtt_us_ = nullptr;
 };
 
 }  // namespace esr::runtime

@@ -19,7 +19,10 @@
 // cluster drains); and watermark stability holds — one number per site,
 // no per-ET stability messages or WAL records, a down site holds stability
 // back everywhere, stale watermarks never move it back, and a lossless
-// network sees no retransmissions.
+// network sees no retransmissions; and group sequencing holds — one
+// sequencer request in flight per site, positions in submit order, grants
+// of the wrong size and torn MSet batches dropped whole, and a dead site's
+// whole granted block healed.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +42,7 @@
 #include "msg/mailbox.h"
 #include "msg/sequencer_wire.h"
 #include "obs/metric_registry.h"
+#include "recovery/codec.h"
 #include "recovery/storage.h"
 #include "recovery/wal.h"
 #include "runtime/interfaces.h"
@@ -454,21 +458,33 @@ TEST(TcpTransportTest, NoDeliveryAfterStopMidBatch) {
 
 /// --- End to end: OrdupNode over the sim binding ---------------------------
 
-/// Transport decorator: counts sends by message type, and lets a test hand
-/// the node a message as if a peer had sent it.
+/// Transport decorator: counts sends by message type, shows a test every
+/// message sent or delivered, can deliver one type twice, and lets a test
+/// hand the node a message as if a peer had sent it.
 class CountingTransport : public Transport {
  public:
+  /// Sees each message the node sends (outbound) or the network delivers.
+  using Tap = std::function<void(bool outbound, SiteId peer, const Message&)>;
+
   explicit CountingTransport(std::unique_ptr<Transport> inner)
       : inner_(std::move(inner)) {}
 
   SiteId self() const override { return inner_->self(); }
   void SetHandler(Handler handler) override {
     handler_ = std::move(handler);
-    inner_->SetHandler(
-        [this](SiteId from, Message msg) { handler_(from, std::move(msg)); });
+    inner_->SetHandler([this](SiteId from, Message msg) {
+      if (tap) tap(/*outbound=*/false, from, msg);
+      if (msg.type == drop_next_type) {
+        drop_next_type = -1;
+        return;
+      }
+      if (msg.type == duplicate_type) handler_(from, msg);
+      handler_(from, std::move(msg));
+    });
   }
   void Send(SiteId to, Message msg) override {
     ++sent_[msg.type];
+    if (tap) tap(/*outbound=*/true, to, msg);
     inner_->Send(to, std::move(msg));
   }
   void Start() override { inner_->Start(); }
@@ -479,6 +495,12 @@ class CountingTransport : public Transport {
     auto it = sent_.find(type);
     return it == sent_.end() ? 0 : it->second;
   }
+
+  Tap tap;
+  /// Network deliveries of this message type reach the node twice.
+  int duplicate_type = -1;
+  /// The next network delivery of this message type is lost.
+  int drop_next_type = -1;
 
  private:
   std::unique_ptr<Transport> inner_;
@@ -572,6 +594,142 @@ Message WatermarkMsg(SequenceNumber watermark) {
   wire::Encoder e;
   e.I64(watermark);
   return Msg(kWatermarkMsg, e.Take());
+}
+
+/// The MSet message layout: `I64 watermark ++ U32 n ++ n × MsetRec`.
+std::string EncodeMsetBatch(SequenceNumber watermark,
+                            const std::vector<core::Mset>& msets) {
+  recovery::Encoder e;
+  e.I64(watermark);
+  e.U32(static_cast<uint32_t>(msets.size()));
+  for (const core::Mset& mset : msets) e.MsetRec(mset);
+  return e.Take();
+}
+
+std::vector<core::Mset> DecodeMsetBatch(std::string_view payload) {
+  recovery::Decoder d(payload);
+  d.I64();
+  const uint32_t n = d.U32();
+  std::vector<core::Mset> msets;
+  for (uint32_t i = 0; i < n && d.ok(); ++i) msets.push_back(d.MsetRec());
+  EXPECT_TRUE(d.ok()) << "malformed MSet message on the wire";
+  return msets;
+}
+
+/// A one-increment MSet at `position`, as if site `origin` had sent it.
+core::Mset IncrementMset(SequenceNumber position, SiteId origin,
+                         ObjectId object, int64_t delta) {
+  core::Mset mset;
+  mset.et = 1'000'000 + position;
+  mset.origin = origin;
+  mset.global_order = position;
+  mset.timestamp = LamportTimestamp{position, origin};
+  mset.tentative = false;
+  mset.operations = {store::Operation::Increment(object, delta)};
+  return mset;
+}
+
+/// What one site's sequencer client did, read off its transport.
+struct SeqAudit {
+  int64_t inflight_rid = 0;  // request sent whose grant is not yet delivered
+  int64_t requests = 0;      // distinct request ids sent
+  int64_t positions_requested = 0;
+  int64_t overlapping_requests = 0;  // sent while another was in flight
+  size_t largest_mset_batch = 0;
+  std::map<EtId, SequenceNumber> position;  // own ETs, as broadcast
+};
+
+/// Taps every site's transport into `audits` (one per site).
+void AuditSequencing(SimCluster& cluster, std::vector<SeqAudit>* audits) {
+  audits->assign(cluster.nodes.size(), SeqAudit{});
+  for (size_t i = 0; i < cluster.nodes.size(); ++i) {
+    SeqAudit* audit = &(*audits)[i];
+    const SiteId self = static_cast<SiteId>(i);
+    cluster.transports[i]->tap = [audit, self](bool outbound, SiteId,
+                                               const Message& msg) {
+      if (outbound && msg.type == msg::kSeqRequest) {
+        auto req = msg::DecodeSeqBatchRequest(msg.payload);
+        ASSERT_TRUE(req.has_value());
+        if (req->request_id == audit->inflight_rid) return;  // a re-send
+        if (audit->inflight_rid != 0) ++audit->overlapping_requests;
+        audit->inflight_rid = req->request_id;
+        ++audit->requests;
+        audit->positions_requested += req->count;
+      } else if (!outbound && msg.type == msg::kSeqResponse) {
+        auto grant = msg::DecodeSeqBatchGrant(msg.payload);
+        ASSERT_TRUE(grant.has_value());
+        if (grant->request_id == audit->inflight_rid) audit->inflight_rid = 0;
+      } else if (outbound && msg.type == core::kMsetMsg) {
+        const std::vector<core::Mset> msets = DecodeMsetBatch(msg.payload);
+        audit->largest_mset_batch =
+            std::max(audit->largest_mset_batch, msets.size());
+        for (const core::Mset& mset : msets) {
+          if (mset.origin == self) audit->position[mset.et] = mset.global_order;
+        }
+      }
+    };
+  }
+}
+
+/// Submits `per_site` updates at each site inside one simulator event (one
+/// strand task), runs to `horizon`, and checks group sequencing end to end.
+void CheckGroupSequencing(SimCluster& cluster, int per_site,
+                          SimTime horizon) {
+  const int sites = static_cast<int>(cluster.nodes.size());
+  std::vector<SeqAudit> audits;
+  AuditSequencing(cluster, &audits);
+  std::vector<std::vector<EtId>> submitted(static_cast<size_t>(sites));
+  std::map<EtId, int> fired;
+  cluster.simulator.ScheduleAt(10'000, [&] {
+    for (SiteId s = 0; s < sites; ++s) {
+      for (int k = 0; k < per_site; ++k) {
+        const EtId et = cluster.nodes[static_cast<size_t>(s)]->SubmitUpdate(
+            {store::Operation::Increment(1 + (s * per_site + k) % 16, 1)},
+            [&fired, &submitted, s, k] {
+              ++fired[submitted[static_cast<size_t>(s)]
+                             [static_cast<size_t>(k)]];
+            });
+        submitted[static_cast<size_t>(s)].push_back(et);
+      }
+    }
+  });
+  cluster.simulator.RunUntil(horizon);
+
+  const int64_t total = static_cast<int64_t>(sites) * per_site;
+  const uint64_t digest = cluster.nodes[0]->store().StateDigest();
+  for (SiteId s = 0; s < sites; ++s) {
+    const size_t i = static_cast<size_t>(s);
+    const SeqAudit& audit = audits[i];
+    OrdupNode& node = *cluster.nodes[i];
+    EXPECT_EQ(audit.overlapping_requests, 0) << "site " << s;
+    EXPECT_EQ(audit.positions_requested, per_site) << "site " << s;
+    EXPECT_LT(audit.requests, per_site) << "site " << s << ": no batching";
+    EXPECT_GT(audit.largest_mset_batch, 1u) << "site " << s;
+    // Positions follow submit order.
+    SequenceNumber previous = 0;
+    for (EtId et : submitted[i]) {
+      auto it = audit.position.find(et);
+      ASSERT_NE(it, audit.position.end()) << "site " << s << " et " << et;
+      EXPECT_GT(it->second, previous) << "site " << s << " et " << et;
+      previous = it->second;
+      EXPECT_EQ(fired[et], 1) << "site " << s << " et " << et;
+    }
+    EXPECT_EQ(node.applied_watermark(), total) << "site " << s;
+    EXPECT_EQ(node.stable_count(), total) << "site " << s;
+    EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+    // The batches show up in the node's own sequencer metrics.
+    EXPECT_EQ(cluster.Counter(s, "esr_seq_batches_total"), audit.requests)
+        << "site " << s;
+    const obs::Histogram& sizes =
+        cluster.metrics[i]->GetHistogram("esr_seq_batch_size");
+    EXPECT_EQ(sizes.count(), audit.requests) << "site " << s;
+    EXPECT_EQ(sizes.sum(), per_site) << "site " << s;
+    EXPECT_EQ(cluster.metrics[i]->GetHistogram("esr_seq_rtt_us").count(),
+              audit.requests)
+        << "site " << s;
+  }
+  for (auto& transport : cluster.transports) transport->tap = nullptr;
 }
 
 TEST(OrdupNodeSimTest, ThreeSitesConvergeDeterministically) {
@@ -790,15 +948,28 @@ TEST(OrdupNodeSimTest, StaleWatermarkDoesNotMoveStabilityBack) {
 }
 
 TEST(OrdupNodeSimTest, SequencerDropsMultiPositionRequest) {
-  // A request for 2^20 positions from the wire must not reserve them: the
-  // positions would stay unfilled and stall the total order for everyone.
+  // A request for a block outside [1, kMaxSeqBatch] from the wire must not
+  // reserve it: the positions would stay unfilled and stall the total
+  // order for everyone.
   SimCluster cluster(3);
   cluster.simulator.RunUntil(10'000);
-  msg::SeqBatchRequest bogus{/*request_id=*/999, /*count=*/1 << 20,
-                             cluster.nodes[0]->sequencer_epoch(),
-                             TraceContext{}, /*incarnation=*/0};
-  cluster.transports[0]->Inject(
-      1, Msg(msg::kSeqRequest, msg::EncodeSeqBatchRequest(bogus)));
+  int bogus_grants = 0;
+  cluster.transports[0]->tap = [&bogus_grants](bool outbound, SiteId,
+                                               const Message& msg) {
+    if (!outbound || msg.type != msg::kSeqResponse) return;
+    auto grant = msg::DecodeSeqBatchGrant(msg.payload);
+    if (grant && grant->request_id > 990 && grant->request_id < 1000) {
+      ++bogus_grants;
+    }
+  };
+  int64_t request_id = 990;
+  for (int32_t count : {0, -1, kMaxSeqBatch + 1, 1 << 20}) {
+    msg::SeqBatchRequest bogus{++request_id, count,
+                               cluster.nodes[0]->sequencer_epoch(),
+                               TraceContext{}, /*incarnation=*/0};
+    cluster.transports[0]->Inject(
+        1, Msg(msg::kSeqRequest, msg::EncodeSeqBatchRequest(bogus)));
+  }
   cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(4, 9)});
   cluster.simulator.RunUntil(1'000'000);
   for (SiteId s = 0; s < 3; ++s) {
@@ -806,6 +977,177 @@ TEST(OrdupNodeSimTest, SequencerDropsMultiPositionRequest) {
     EXPECT_EQ(node.applied_watermark(), 1) << "site " << s;
     EXPECT_EQ(node.store().Read(4).AsInt(), 9) << "site " << s;
   }
+  EXPECT_EQ(bogus_grants, 0);
+}
+
+TEST(OrdupNodeSimTest, GroupSequencingKeepsOneRequestInFlightPerSite) {
+  // 32 updates per site in one strand task: the first leaves alone, the
+  // rest queue behind it and are asked for in one request when its grant
+  // arrives.
+  SimCluster cluster(3);
+  CheckGroupSequencing(cluster, /*per_site=*/32, /*horizon=*/1'000'000);
+}
+
+TEST(OrdupNodeSimTest, GroupSequencingSurvivesLossDuplicationAndReordering) {
+  // The same under 5% loss and jitter, with every grant delivered twice:
+  // lost grants are re-requested under the same id, duplicates and stale
+  // grants are ignored, and lost batched MSets are re-sent.
+  sim::NetworkConfig net;
+  net.base_latency_us = 1'000;
+  net.jitter_us = 900;
+  net.loss_probability = 0.05;
+  SimCluster cluster(3, /*seed=*/42, net);
+  for (auto& transport : cluster.transports) {
+    transport->duplicate_type = msg::kSeqResponse;
+  }
+  CheckGroupSequencing(cluster, /*per_site=*/32, /*horizon=*/10'000'000);
+}
+
+TEST(OrdupNodeSimTest, ClientDropsGrantOfWrongSize) {
+  // A grant naming the request in flight but a block of another size is
+  // not that request's grant. Taking it would put the request's ETs on
+  // positions the server gave to others.
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);
+  std::vector<SeqAudit> audits;
+  AuditSequencing(cluster, &audits);
+  // t=10 ms: one update leaves alone (granted at t=12 ms), the other three
+  // queue and are requested together at t=12 ms (granted at t=14 ms).
+  for (int k = 0; k < 4; ++k) {
+    cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(1, 1)});
+  }
+  cluster.nodes[2]->SubmitUpdate({store::Operation::Increment(2, 1)});
+  cluster.simulator.RunUntil(13'000);
+  ASSERT_EQ(audits[1].requests, 2);
+  ASSERT_EQ(cluster.nodes[1]->pending_seq_size(), 3);
+  for (int32_t count : {2, 4}) {
+    msg::SeqBatchGrant bogus{audits[1].inflight_rid, /*first=*/1, count,
+                             cluster.nodes[1]->sequencer_epoch()};
+    cluster.transports[1]->Inject(
+        0, Msg(msg::kSeqResponse, msg::EncodeSeqBatchGrant(bogus)));
+    EXPECT_EQ(cluster.nodes[1]->pending_seq_size(), 3) << "count " << count;
+  }
+  cluster.simulator.RunUntil(1'000'000);
+  const uint64_t digest = cluster.nodes[0]->store().StateDigest();
+  for (SiteId s = 0; s < 3; ++s) {
+    OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), 5) << "site " << s;
+    EXPECT_EQ(node.store().Read(1).AsInt(), 4) << "site " << s;
+    EXPECT_EQ(node.store().Read(2).AsInt(), 1) << "site " << s;
+    EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+  }
+}
+
+TEST(OrdupNodeSimTest, TruncatedMsetBatchAdmitsNothing) {
+  // A batched MSet message cut short anywhere, or claiming more records
+  // than it holds, is dropped whole: no crash, and no record of it admitted.
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);
+  const std::vector<core::Mset> batch = {IncrementMset(1, 1, 5, 100),
+                                         IncrementMset(2, 1, 6, 100),
+                                         IncrementMset(3, 1, 7, 100)};
+  const std::string whole = EncodeMsetBatch(/*watermark=*/3, batch);
+  OrdupNode& node = *cluster.nodes[2];
+  CountingTransport& transport = *cluster.transports[2];
+  for (size_t len = 0; len < whole.size(); ++len) {
+    transport.Inject(1, Msg(core::kMsetMsg, whole.substr(0, len)));
+  }
+  // Intact records, but a count beyond them (up to the U32 maximum).
+  for (uint32_t n : {4u, 1'000u, 0xFFFF'FFFFu}) {
+    std::string claimed = whole;
+    const std::string count = [n] {
+      wire::Encoder e;
+      e.U32(n);
+      return e.Take();
+    }();
+    claimed.replace(sizeof(int64_t), count.size(), count);
+    transport.Inject(1, Msg(core::kMsetMsg, claimed));
+  }
+  EXPECT_EQ(node.applied_watermark(), 0);
+  EXPECT_EQ(node.store().Read(5).AsInt(), 0);
+  EXPECT_EQ(cluster.Counter(2, "esr_runtime_duplicates_total"), 0);
+  EXPECT_EQ(node.stable_count(), 0);  // no watermark taken from them either
+
+  // The real traffic for those positions is then applied normally.
+  for (SiteId s = 0; s < 3; ++s) {
+    cluster.nodes[static_cast<size_t>(s)]->SubmitUpdate(
+        {store::Operation::Increment(5, 1)});
+  }
+  cluster.simulator.RunUntil(1'000'000);
+  const uint64_t digest = cluster.nodes[0]->store().StateDigest();
+  for (SiteId s = 0; s < 3; ++s) {
+    OrdupNode& site = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(site.applied_watermark(), 3) << "site " << s;
+    EXPECT_EQ(site.store().Read(5).AsInt(), 3) << "site " << s;
+    EXPECT_EQ(site.store().StateDigest(), digest) << "site " << s;
+  }
+}
+
+TEST(OrdupNodeSimTest, AmnesiaRestartHealsWholeGrantedBlock) {
+  // Site 1 dies holding a granted block of four positions it never
+  // broadcast. Its restart must get all four no-op filled so the order
+  // resumes behind them.
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);
+  std::vector<SeqAudit> audits;
+  AuditSequencing(cluster, &audits);
+  // t=10 ms: the first update leaves alone (position 1, granted at
+  // t=12 ms and broadcast); the other four are requested together at
+  // t=12 ms, granted positions 2..5 at t=13 ms, and the grant would land
+  // at t=14 ms.
+  for (int k = 0; k < 5; ++k) {
+    cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(1, 100)});
+  }
+  cluster.simulator.RunUntil(13'500);
+  ASSERT_EQ(audits[1].requests, 2);
+  ASSERT_EQ(audits[1].positions_requested, 5);
+  cluster.Kill(1);
+  cluster.simulator.RunUntil(1'000'000);
+  EXPECT_EQ(cluster.nodes[0]->applied_watermark(), 1);  // the block stalls all
+  EXPECT_EQ(cluster.nodes[2]->applied_watermark(), 1);
+
+  cluster.Boot(1, /*incarnation=*/1'000'000, /*durable=*/false);
+  cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(2, 5)});
+  cluster.nodes[0]->SubmitUpdate({store::Operation::Increment(3, 7)});
+  cluster.simulator.RunUntil(10'000'000);
+
+  const uint64_t digest = cluster.nodes[0]->store().StateDigest();
+  for (SiteId s = 0; s < 3; ++s) {
+    OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), 7) << "site " << s;  // 1 + 4 + 2
+    EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+    // Only the first of the dead incarnation's five increments landed.
+    EXPECT_EQ(node.store().Read(1).AsInt(), 100) << "site " << s;
+    EXPECT_EQ(node.store().Read(2).AsInt(), 5) << "site " << s;
+    EXPECT_EQ(node.store().Read(3).AsInt(), 7) << "site " << s;
+  }
+}
+
+TEST(OrdupNodeSimTest, GapIsBackfilledWhileTrafficContinues) {
+  // Site 2 loses site 1's MSet for position 1, and site 1 dies before it
+  // could re-send it: only a catch-up from site 0 can fill the gap. Site 0
+  // keeps submitting, so new MSets land in site 2's holdback all the time;
+  // the gap must still count as old once it outlives the gap timeout.
+  SimCluster cluster(3);
+  cluster.simulator.RunUntil(10'000);
+  cluster.transports[2]->drop_next_type = core::kMsetMsg;
+  cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(1, 1)});
+  cluster.simulator.RunUntil(20'000);  // granted, applied at site 0
+  ASSERT_EQ(cluster.nodes[0]->applied_watermark(), 1);
+  ASSERT_EQ(cluster.nodes[2]->applied_watermark(), 0);
+  cluster.Kill(1);
+  std::vector<int> fired;
+  constexpr int kUpdates = 5'000;  // one every 100 µs until t = 520 ms
+  SubmitPaced(cluster, kUpdates, 20'000, 100, &fired, /*sites=*/1);
+  cluster.simulator.RunUntil(400'000);
+  // Well before the traffic stops, site 2 has filled the gap and follows.
+  EXPECT_GT(cluster.nodes[2]->applied_watermark(), 3'000);
+  cluster.simulator.RunUntil(2'000'000);
+  EXPECT_EQ(cluster.nodes[2]->applied_watermark(), kUpdates + 1);
+  EXPECT_EQ(cluster.nodes[2]->store().StateDigest(),
+            cluster.nodes[0]->store().StateDigest());
 }
 
 }  // namespace
